@@ -34,10 +34,11 @@ use hypertee::machine::Machine;
 use hypertee::manifest::EnclaveManifest;
 use hypertee::shard::{par_run, ShardSpec, ShardedMachine};
 use hypertee_bench::microbench::{bench, bench_pair};
-use hypertee_bench::report::{validate, PerfBench, PerfReport};
+use hypertee_bench::report::{check_file, validate, PerfBench, PerfReport, ReportArgs};
 use hypertee_crypto::aes::{ctr_iv, Aes128};
 use hypertee_crypto::mac::{mac28_lines, mac28_ref};
 use hypertee_crypto::sha3::{keccakf, keccakf_ref, sha3_256_ref, Sha3_256};
+use hypertee_crypto::util::{fnv1a_words, FNV_OFFSET};
 use hypertee_fabric::message::{Primitive, Privilege};
 use hypertee_faults::{FaultConfig, FaultPlan};
 use hypertee_mem::addr::{KeyId, PhysAddr, Ppn, VirtAddr, PAGE_SIZE};
@@ -53,13 +54,7 @@ use hypertee_workloads::{memstream, programs, wolfssl};
 /// KeyID used for the encrypted benchmark regions.
 const BENCH_KEY: KeyId = KeyId(2);
 
-struct Config {
-    smoke: bool,
-    out: String,
-    threads: usize,
-}
-
-fn iters(cfg: &Config, full: u32, smoke: u32) -> u32 {
+fn iters(cfg: &ReportArgs, full: u32, smoke: u32) -> u32 {
     if cfg.smoke {
         smoke
     } else {
@@ -67,7 +62,7 @@ fn iters(cfg: &Config, full: u32, smoke: u32) -> u32 {
     }
 }
 
-fn crypto_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
+fn crypto_benches(cfg: &ReportArgs, rows: &mut Vec<PerfBench>) {
     // Keccak-f[1600]: the unrolled permutation vs the scalar loop nest.
     // Interleaved batches: at ~1.3-1.4x this row's margin is thinner than
     // the host's drift between two back-to-back timing windows. Smoke
@@ -167,7 +162,7 @@ fn crypto_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
     ));
 }
 
-fn mktme_bench(cfg: &Config, rows: &mut Vec<PerfBench>) {
+fn mktme_bench(cfg: &ReportArgs, rows: &mut Vec<PerfBench>) {
     // Encrypted + MAC-verified 4 KiB write/read roundtrip through the
     // engine, against the seed's per-line scalar path.
     let n = iters(cfg, 50, 10);
@@ -207,7 +202,7 @@ fn mktme_bench(cfg: &Config, rows: &mut Vec<PerfBench>) {
     ));
 }
 
-fn ptw_bench(cfg: &Config, rows: &mut Vec<PerfBench>) {
+fn ptw_bench(cfg: &ReportArgs, rows: &mut Vec<PerfBench>) {
     // Translate 8 pages with the TLB flushed per pass: warm walk cache vs
     // fully cold walks (the pre-PR behaviour, where every walk read all
     // three levels).
@@ -274,7 +269,7 @@ fn ptw_bench(cfg: &Config, rows: &mut Vec<PerfBench>) {
     ));
 }
 
-fn memstream_pass(cfg: &Config, rows: &mut Vec<PerfBench>) {
+fn memstream_pass(cfg: &ReportArgs, rows: &mut Vec<PerfBench>) {
     // Pointer-chase through encrypted enclave memory: the full
     // TLB → PTW → MKTME data plane per step. The reference arm rides the
     // same translations but the byte-for-byte MKTME spec data plane.
@@ -345,7 +340,7 @@ fn memstream_pass(cfg: &Config, rows: &mut Vec<PerfBench>) {
     ));
 }
 
-fn wolfssl_pass(cfg: &Config, rows: &mut Vec<PerfBench>) {
+fn wolfssl_pass(cfg: &ReportArgs, rows: &mut Vec<PerfBench>) {
     // Full TLS-style session: handshake + 4 encrypted 1 KiB records. The
     // AES-CTR record path rides the optimized kernels; the reference arm
     // runs the same session on the spec CTR baseline (bit-identical
@@ -404,21 +399,20 @@ fn pump_tenants() -> (Machine, Vec<u64>) {
     (m, eids)
 }
 
-/// Folds one value into an order-sensitive FNV-1a accumulator.
-fn fold(digest: &mut u64, x: u64) {
-    *digest ^= x;
-    *digest = digest.wrapping_mul(0x100_0000_01b3);
-}
-
 /// Drains every collectable completion into `digest` (id, hart, outcome,
 /// latency, attempts — the same fields the differential suite compares).
 fn pump_drain(m: &mut Machine, digest: &mut u64) {
     for done in m.drain_completions() {
-        fold(digest, done.call.id);
-        fold(digest, done.hart_id as u64);
-        fold(digest, if done.result.is_ok() { 1 } else { 2 });
-        fold(digest, done.latency.0);
-        fold(digest, done.attempts as u64);
+        fnv1a_words(
+            digest,
+            &[
+                done.call.id,
+                done.hart_id as u64,
+                if done.result.is_ok() { 1 } else { 2 },
+                done.latency.0,
+                done.attempts as u64,
+            ],
+        );
     }
 }
 
@@ -439,7 +433,7 @@ fn pump_to_idle(m: &mut Machine, digest: &mut u64) {
 /// asleep on the timer wheel, the scan oracle walks every call each round
 /// while the event pump touches only the handful the EMS woke.
 fn pump_churn_batch(m: &mut Machine, eids: &[u64], calls: usize) -> u64 {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     for i in 0..calls {
         let h = i % PUMP_HARTS;
         m.submit_as(h, Privilege::Os, Primitive::Emeas, vec![eids[h]], vec![])
@@ -453,7 +447,7 @@ fn pump_churn_batch(m: &mut Machine, eids: &[u64], calls: usize) -> u64 {
 /// to `live` in-flight EMEAS calls every round for `rounds` rounds, then
 /// drains the tail.
 fn pump_fleet_storm(m: &mut Machine, eids: &[u64], rounds: u64, live: usize) -> u64 {
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     let mut next_hart = 0usize;
     for _ in 0..rounds {
         while m.pipeline_stats().in_flight < live {
@@ -469,7 +463,7 @@ fn pump_fleet_storm(m: &mut Machine, eids: &[u64], rounds: u64, live: usize) -> 
     digest
 }
 
-fn pump_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
+fn pump_benches(cfg: &ReportArgs, rows: &mut Vec<PerfBench>) {
     // Control-plane scheduler rows (DESIGN.md §15): the event-driven pump
     // (ready queues + timer wheel) against the retained O(n) scan oracle.
     // Both arms run the identical storm; the traces are proven equal on
@@ -578,7 +572,7 @@ fn run_interp(image: &[u8], mode: InterpMode, max_steps: u64) -> (u64, u64) {
     (code, m.hart_clock(0).0)
 }
 
-fn interp_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
+fn interp_benches(cfg: &ReportArgs, rows: &mut Vec<PerfBench>) {
     // Decoded-block interpreter vs the seed fetch-decode-execute oracle
     // (`Cpu::step_ref`), over the two workload-pass shapes the report
     // already tracks: a memstream-style pointer chase and a wolfSSL-style
@@ -645,7 +639,7 @@ const FANOUT: usize = 4;
 /// Seed for the scaling rows; per-job streams derive from it.
 const THREADS_SEED: u64 = 0xBE4C_5EED;
 
-fn threads_wallclock_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
+fn threads_wallclock_benches(cfg: &ReportArgs, rows: &mut Vec<PerfBench>) {
     // Wall-clock fan-out of four independent multi-hart lockstep campaigns
     // (real machine vs reference model, §PR 3): sequential baseline and
     // pooled run measured back to back in the same process. This is the
@@ -729,7 +723,7 @@ fn threads_wallclock_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
 /// Runs `f` on every shard of a fresh 4-shard machine and returns
 /// `(sum, max)` of the per-shard simulated clocks: the sequential-schedule
 /// cost and the parallel-composition makespan, in cycles.
-fn sharded_simclock<F>(cfg: &Config, salt: u64, f: F) -> (u64, u64)
+fn sharded_simclock<F>(cfg: &ReportArgs, salt: u64, f: F) -> (u64, u64)
 where
     F: Fn(&mut hypertee::shard::ShardDomain) + Sync,
 {
@@ -742,7 +736,7 @@ where
     (sum, m.merged_clock().0)
 }
 
-fn threads_simclock_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
+fn threads_simclock_benches(cfg: &ReportArgs, rows: &mut Vec<PerfBench>) {
     // Deterministic simulated-clock scaling rows: both numbers are cycle
     // counts from the sharded machine (not nanoseconds), so the recorded
     // speedup — sequential schedule over parallel makespan — is a property
@@ -810,7 +804,7 @@ fn threads_simclock_benches(cfg: &Config, rows: &mut Vec<PerfBench>) {
     ));
 }
 
-fn run(cfg: &Config) -> Result<(), String> {
+fn run(cfg: &ReportArgs) -> Result<(), String> {
     let mut rows = Vec::new();
     crypto_benches(cfg, &mut rows);
     mktme_bench(cfg, &mut rows);
@@ -841,60 +835,18 @@ fn run(cfg: &Config) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = Config {
-        smoke: false,
-        out: "BENCH_perf.json".to_string(),
-        threads: 4,
-    };
-    let mut check: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => cfg.smoke = true,
-            "--out" if i + 1 < args.len() => {
-                i += 1;
-                cfg.out = args[i].clone();
-            }
-            "--threads" if i + 1 < args.len() => {
-                i += 1;
-                cfg.threads = match args[i].parse() {
-                    Ok(t) if t >= 1 => t,
-                    _ => {
-                        eprintln!("bad --threads value '{}'", args[i]);
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--check" if i + 1 < args.len() => {
-                i += 1;
-                check = Some(args[i].clone());
-            }
-            other => {
-                eprintln!("unknown argument '{other}'");
-                eprintln!(
-                    "usage: bench_report [--smoke] [--threads N] [--out PATH] | --check PATH"
-                );
-                return ExitCode::FAILURE;
-            }
+    let mut defaults = ReportArgs::new(0, "BENCH_perf.json");
+    defaults.threads = 4;
+    let cfg = match defaults.parse(&["--smoke", "--threads", "--out", "--check"]) {
+        Ok(c) => c,
+        Err(e) => {
+            eprintln!("bench_report: {e}");
+            eprintln!("usage: bench_report [--smoke] [--threads N] [--out PATH] | --check PATH");
+            return ExitCode::FAILURE;
         }
-        i += 1;
-    }
-
-    if let Some(path) = check {
-        return match std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {path}: {e}"))
-            .and_then(|text| validate(&text))
-        {
-            Ok(()) => {
-                println!("{path}: valid BENCH_perf schema");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    };
+    if let Some(path) = &cfg.check {
+        return check_file(path, validate);
     }
 
     match run(&cfg) {

@@ -1,9 +1,15 @@
-//! The tracked performance report (`BENCH_perf.json`).
+//! The report layer: every `BENCH_*.json` writer and `--check` validator
+//! in the workspace, plus the tracked performance report
+//! (`BENCH_perf.json`) itself.
 //!
-//! The workspace builds offline with no registry deps, so both the JSON
-//! emitter and the validator are hand-rolled here. The schema is stable:
-//! bumping [`SCHEMA_VERSION`] is a breaking change and must be called out
-//! in EXPERIMENTS.md.
+//! The workspace builds offline with no registry deps, so the JSON emitter,
+//! parser and validators are hand-rolled here. A suite lists its fields
+//! once, in an ordered table of [`Field`]s that both [`render_fields`] and
+//! [`check_fields`] walk, so no emitted key can go unvalidated; only
+//! cross-field rules are written per suite.
+//!
+//! The perf schema is stable: bumping [`SCHEMA_VERSION`] is a breaking
+//! change and must be called out in EXPERIMENTS.md.
 //!
 //! ```text
 //! {
@@ -22,11 +28,42 @@
 //! measured in the same run on the same host, so `speedup` is a
 //! like-for-like before/after delta rather than a cross-machine comparison.
 
+use std::num::NonZeroUsize;
+use std::process::ExitCode;
+use std::str::FromStr;
+
 /// Version of the emitted JSON schema.
 pub const SCHEMA_VERSION: u64 = 1;
 
 /// Suite identifier baked into every report.
 pub const SUITE: &str = "hypertee-perf";
+
+/// How a top-level report field is rendered and what the validator demands
+/// of it. The `&str` of a verdict kind names the cause of a violation.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// A finite non-negative counter.
+    Counter,
+    /// A `"0x"`-prefixed 16-hex-digit `u64` (full range, no `f64` loss).
+    HexU64,
+    /// A boolean that must be `true`.
+    MustBeTrue(&'static str),
+    /// A boolean that must be `false`.
+    MustBeFalse(&'static str),
+    /// A counter pinned to zero.
+    MustBeZero(&'static str),
+}
+
+/// The consistency-audit verdict shared by the campaign suites.
+pub const AUDIT_OK: Kind = Kind::MustBeTrue("a consistency audit failed");
+/// The lockstep reference-model verdict shared by the campaign suites.
+pub const LOCKSTEP_OK: Kind = Kind::MustBeTrue("the reference model diverged");
+/// The drain verdict shared by the campaign suites.
+pub const STALLED: Kind = Kind::MustBeFalse("the campaign did not drain");
+
+/// One row of a suite's field table: key, kind, and the getter reading the
+/// value from the outcome (booleans as 0/1).
+pub type Field<T> = (&'static str, Kind, fn(&T) -> u64);
 
 /// One benchmark row of the report.
 #[derive(Debug, Clone)]
@@ -42,6 +79,21 @@ pub struct PerfBench {
     /// `baseline_ns_per_op / ns_per_op`.
     pub speedup: Option<f64>,
 }
+
+/// A numeric column of a bench row: key, whether the validator requires a
+/// number (`false` admits `null`), and the getter.
+type Column = (&'static str, bool, fn(&PerfBench) -> Option<f64>);
+
+/// The perf suite's field table: a bench row's numeric columns in emission
+/// order. Every tracked row must carry its reference measurement: a null
+/// baseline means the `*_ref` oracle never ran, which is exactly how a
+/// silent regression hides.
+const ROW_FIELDS: [Column; 4] = [
+    ("ns_per_op", true, |b| Some(b.ns_per_op)),
+    ("gb_per_sec", false, |b| b.gb_per_sec),
+    ("baseline_ns_per_op", true, |b| b.baseline_ns_per_op),
+    ("speedup", true, |b| b.speedup),
+];
 
 impl PerfBench {
     /// Builds a row from optimized/baseline timings and an optional byte
@@ -79,23 +131,8 @@ pub struct PerfReport {
     pub benches: Vec<PerfBench>,
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    // All emitted numbers must round-trip as finite JSON numbers.
-    assert!(v.is_finite(), "refusing to emit non-finite number {v}");
-    out.push_str(&format!("{v:.4}"));
-}
-
-fn push_opt(out: &mut String, v: Option<f64>) {
-    match v {
-        Some(v) => push_f64(out, v),
-        None => out.push_str("null"),
-    }
-}
-
-/// Appends `s` as a JSON string literal (with escaping). Shared by every
-/// report emitter in the workspace (`bench_report`, `chaos_campaign`,
-/// `serving_bench`) so the escaping rules cannot drift between suites.
-pub fn push_json_str(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal (with escaping).
+fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -108,22 +145,72 @@ pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn push_str(out: &mut String, s: &str) {
-    push_json_str(out, s);
-}
-
 /// Appends a `"key": value,` counter line at two-space indent.
 ///
 /// # Panics
 ///
 /// Panics when `v` would lose precision in the validator's `f64` round
 /// trip (counters past 2^53 have no business in a report).
-pub fn push_kv_u64(out: &mut String, key: &str, v: u64) {
+fn push_kv_u64(out: &mut String, key: &str, v: u64) {
     assert!(
         v < (1u64 << 53),
         "counter '{key}' = {v} would lose precision in JSON"
     );
     out.push_str(&format!("  \"{key}\": {v},\n"));
+}
+
+/// Opens a report with the header every suite starts with:
+/// `schema_version`, `suite` and `mode`.
+fn push_header(out: &mut String, version: u64, suite: &str, mode: &str) {
+    out.push_str(&format!(
+        "{{\n  \"schema_version\": {version},\n  \"suite\": \"{suite}\",\n  \"mode\": "
+    ));
+    push_json_str(out, mode);
+    out.push_str(",\n");
+}
+
+/// Opens a report with the header, then renders every row of `fields`.
+pub fn render_fields<T>(
+    version: u64,
+    suite: &str,
+    mode: &str,
+    fields: &[Field<T>],
+    v: &T,
+) -> String {
+    let mut out = String::new();
+    push_header(&mut out, version, suite, mode);
+    for &(key, kind, get) in fields {
+        let x = get(v);
+        match kind {
+            Kind::Counter | Kind::MustBeZero(_) => push_kv_u64(&mut out, key, x),
+            Kind::HexU64 => out.push_str(&format!("  \"{key}\": \"0x{x:016x}\",\n")),
+            Kind::MustBeTrue(_) | Kind::MustBeFalse(_) => {
+                out.push_str(&format!("  \"{key}\": {},\n", x != 0));
+            }
+        }
+    }
+    out
+}
+
+/// Appends the `slo_cdf` array of `(x_key, fraction)` rows and closes the
+/// report.
+///
+/// # Panics
+///
+/// Panics on a non-finite fraction.
+pub fn push_slo_cdf(out: &mut String, x_key: &str, cdf: &[(u32, f64)]) {
+    out.push_str("  \"slo_cdf\": [\n");
+    for (i, (x, frac)) in cdf.iter().enumerate() {
+        assert!(frac.is_finite(), "refusing to emit non-finite fraction");
+        out.push_str(&format!(
+            "    {{ \"{x_key}\": {x}, \"fraction\": {frac:.6} }}"
+        ));
+        if i + 1 < cdf.len() {
+            out.push(',');
+        }
+        out.push('\n');
+    }
+    out.push_str("  ]\n}\n");
 }
 
 /// Validator helper: `key` must be a finite non-negative number.
@@ -136,19 +223,6 @@ pub fn req_counter(doc: &Json, key: &str) -> Result<f64, String> {
         Some(Json::Num(v)) if v.is_finite() && *v >= 0.0 => Ok(*v),
         Some(Json::Num(v)) => Err(format!("'{key}' must be a finite non-negative number: {v}")),
         Some(_) => Err(format!("'{key}' has the wrong type")),
-        None => Err(format!("missing key '{key}'")),
-    }
-}
-
-/// Validator helper: `key` must be a boolean.
-///
-/// # Errors
-///
-/// A human-readable description of the violation.
-pub fn req_bool(doc: &Json, key: &str) -> Result<bool, String> {
-    match doc.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(_) => Err(format!("'{key}' must be a boolean")),
         None => Err(format!("missing key '{key}'")),
     }
 }
@@ -172,30 +246,225 @@ pub fn req_hex_u64(doc: &Json, key: &str) -> Result<(), String> {
     }
 }
 
+/// Checks the header [`push_header`] writes and returns the mode, or a
+/// description of the first violation.
+fn check_header<'a>(doc: &'a Json, version: u64, suite: &str) -> Result<&'a str, String> {
+    match doc.get("schema_version").and_then(Json::as_num) {
+        Some(v) if v == version as f64 => {}
+        Some(v) => return Err(format!("unsupported schema_version {v}")),
+        None => return Err("missing schema_version".to_string()),
+    }
+    match doc.get("suite").and_then(Json::as_str) {
+        Some(s) if s == suite => {}
+        Some(other) => return Err(format!("wrong suite '{other}'")),
+        None => return Err("missing suite".to_string()),
+    }
+    doc.get("mode")
+        .and_then(Json::as_str)
+        .ok_or_else(|| "missing mode".to_string())
+}
+
+/// Parses `text`, checks the header and every row of `fields`, and returns
+/// the document for the suite's cross-field rules.
+///
+/// # Errors
+///
+/// A human-readable description of the first violation; a red verdict or
+/// a non-zero pinned counter names its key and its cause.
+pub fn check_fields<T>(
+    text: &str,
+    version: u64,
+    suite: &str,
+    fields: &[Field<T>],
+) -> Result<Json, String> {
+    let doc = parse_json(text)?;
+    check_header(&doc, version, suite)?;
+    for &(key, kind, _) in fields {
+        match kind {
+            Kind::Counter => {
+                req_counter(&doc, key)?;
+            }
+            Kind::HexU64 => req_hex_u64(&doc, key)?,
+            Kind::MustBeTrue(cause) | Kind::MustBeFalse(cause) => match doc.get(key) {
+                Some(Json::Bool(b)) if *b == matches!(kind, Kind::MustBeTrue(_)) => {}
+                Some(Json::Bool(b)) => return Err(format!("{key} is {b}: {cause}")),
+                Some(_) => return Err(format!("'{key}' must be a boolean")),
+                None => return Err(format!("missing key '{key}'")),
+            },
+            Kind::MustBeZero(cause) => {
+                let v = req_counter(&doc, key)?;
+                if v != 0.0 {
+                    return Err(format!("{key} = {v}: {cause}"));
+                }
+            }
+        }
+    }
+    Ok(doc)
+}
+
+/// Checks the `slo_cdf` array [`push_slo_cdf`] writes — non-empty, `x_key`
+/// strictly increasing (`x_name` names it in errors), fractions
+/// non-decreasing within `[0, 1]` — or describes the first violation.
+pub fn check_slo_cdf(doc: &Json, x_key: &str, x_name: &str) -> Result<(), String> {
+    let Some(Json::Arr(cdf)) = doc.get("slo_cdf") else {
+        return Err("missing or non-array slo_cdf".to_string());
+    };
+    if cdf.is_empty() {
+        return Err("slo_cdf is empty".to_string());
+    }
+    let mut prev_x = 0.0f64;
+    let mut prev_frac = -1.0f64;
+    for row in cdf {
+        let x = req_counter(row, x_key)?;
+        let frac = req_counter(row, "fraction")?;
+        if x <= prev_x {
+            return Err(format!("slo_cdf {x_name} must be strictly increasing"));
+        }
+        if !(0.0..=1.0).contains(&frac) {
+            return Err(format!("slo_cdf fraction {frac} out of [0, 1]"));
+        }
+        if frac < prev_frac {
+            return Err("slo_cdf fractions must be non-decreasing".to_string());
+        }
+        prev_x = x;
+        prev_frac = frac;
+    }
+    Ok(())
+}
+
+/// The command line of every report binary. A binary starts from its
+/// defaults and names the flags it takes; any other argument is an error.
+#[derive(Debug, Clone)]
+pub struct ReportArgs {
+    /// `--smoke`: the seconds-scale CI slice instead of the full run.
+    pub smoke: bool,
+    /// `--ref-pump`: drive the scan-scheduler oracle instead of the event
+    /// pump.
+    pub ref_pump: bool,
+    /// `--seed N`.
+    pub seed: u64,
+    /// `--out PATH`: where the report is written.
+    pub out: String,
+    /// `--check PATH`: validate a report instead of running.
+    pub check: Option<String>,
+    /// `--shards N`: the logical split of a sharded campaign.
+    pub shards: usize,
+    /// `--threads N`: the worker-pool width.
+    pub threads: usize,
+}
+
+impl ReportArgs {
+    /// Defaults: full mode, event pump, one shard on one thread.
+    pub fn new(seed: u64, out: &str) -> Self {
+        ReportArgs {
+            smoke: false,
+            ref_pump: false,
+            seed,
+            out: out.to_string(),
+            check: None,
+            shards: 1,
+            threads: 1,
+        }
+    }
+
+    /// Parses the process arguments over `self`, accepting only the flags
+    /// listed in `takes`; an error names the offending argument.
+    pub fn parse(mut self, takes: &[&str]) -> Result<Self, String> {
+        let mut args = std::env::args().skip(1);
+        while let Some(arg) = args.next() {
+            let unknown = || format!("unknown argument '{arg}'");
+            match arg.as_str() {
+                flag if !takes.contains(&flag) => return Err(unknown()),
+                "--smoke" => self.smoke = true,
+                "--ref-pump" => self.ref_pump = true,
+                "--seed" => self.seed = value(&arg, &mut args)?,
+                "--out" => self.out = value(&arg, &mut args)?,
+                "--check" => self.check = Some(value(&arg, &mut args)?),
+                "--shards" => self.shards = value::<NonZeroUsize>(&arg, &mut args)?.get(),
+                "--threads" => self.threads = value::<NonZeroUsize>(&arg, &mut args)?.get(),
+                _ => return Err(unknown()),
+            }
+        }
+        Ok(self)
+    }
+}
+
+/// Parses the value that follows `flag` on the command line.
+fn value<T: FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> Result<T, String> {
+    let v = args.next().ok_or(format!("{flag} needs a value"))?;
+    v.parse().map_err(|_| format!("bad {flag} value '{v}'"))
+}
+
+/// The `--check PATH` path of every report binary: reads `path`, runs
+/// `validate`, and prints the verdict.
+pub fn check_file(path: &str, validate: fn(&str) -> Result<(), String>) -> ExitCode {
+    let verdict = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read: {e}"))
+        .and_then(|text| validate(&text));
+    match verdict {
+        Ok(()) => {
+            println!("{path}: OK");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("{path}: INVALID: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Every top-level key of a rendered report, each paired with the report
+/// minus that key's entry: the inputs of a drift test proving a validator
+/// rejects every key its renderer emits when the key is missing.
+///
+/// # Panics
+///
+/// Panics unless `text` is a report laid out as the renderers write it:
+/// one object, each top-level entry opening a line at two-space indent.
+pub fn without_each_key(text: &str) -> Vec<(String, String)> {
+    let Ok(Json::Obj(fields)) = parse_json(text) else {
+        panic!("not a JSON object");
+    };
+    let close = text.rfind("\n}").expect("closing brace");
+    let cut = |key: &str| {
+        let start = text
+            .find(&format!("\n  \"{key}\":"))
+            .expect("top-level entry");
+        match text[start + 1..].find("\n  \"") {
+            Some(n) => format!("{}{}", &text[..start], &text[start + 1 + n..]),
+            // The last entry takes the comma before it along.
+            None => format!("{}{}", text[..start].trim_end_matches(','), &text[close..]),
+        }
+    };
+    fields
+        .iter()
+        .map(|(key, _)| (key.clone(), cut(key)))
+        .collect()
+}
+
 impl PerfReport {
     /// Serializes the report.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-        out.push_str(&format!("  \"suite\": \"{SUITE}\",\n"));
-        out.push_str("  \"mode\": ");
-        push_str(&mut out, &self.mode);
+        push_header(&mut out, SCHEMA_VERSION, SUITE, &self.mode);
         if let Some(t) = self.threads {
-            out.push_str(&format!(",\n  \"threads\": {t}"));
+            push_kv_u64(&mut out, "threads", t);
         }
-        out.push_str(",\n  \"benches\": [\n");
+        out.push_str("  \"benches\": [\n");
         for (i, b) in self.benches.iter().enumerate() {
             out.push_str("    { \"name\": ");
-            push_str(&mut out, &b.name);
-            out.push_str(", \"ns_per_op\": ");
-            push_f64(&mut out, b.ns_per_op);
-            out.push_str(", \"gb_per_sec\": ");
-            push_opt(&mut out, b.gb_per_sec);
-            out.push_str(", \"baseline_ns_per_op\": ");
-            push_opt(&mut out, b.baseline_ns_per_op);
-            out.push_str(", \"speedup\": ");
-            push_opt(&mut out, b.speedup);
+            push_json_str(&mut out, &b.name);
+            for (key, _, get) in ROW_FIELDS {
+                out.push_str(&format!(", \"{key}\": "));
+                match get(b) {
+                    Some(v) => {
+                        // All emitted numbers must round-trip as finite JSON.
+                        assert!(v.is_finite(), "refusing to emit non-finite number {v}");
+                        out.push_str(&format!("{v:.4}"));
+                    }
+                    None => out.push_str("null"),
+                }
+            }
             out.push_str(" }");
             if i + 1 < self.benches.len() {
                 out.push(',');
@@ -442,26 +711,20 @@ fn check_finite(row: &Json, key: &str, required: bool) -> Result<(), String> {
     }
 }
 
-/// Validates a `BENCH_perf.json` document: schema version, required keys,
-/// and number finiteness. This is the gate `scripts/verify.sh` runs against
-/// the smoke report.
+/// Validates a `BENCH_perf.json` document: header, every `ROW_FIELDS`
+/// column of every row, and the speedup regression gate. This is the gate
+/// `scripts/verify.sh` runs against the smoke and committed reports.
 ///
 /// # Errors
 ///
 /// A description of the first schema violation.
 pub fn validate(text: &str) -> Result<(), String> {
     let root = parse_json(text)?;
-    match root.get("schema_version").and_then(Json::as_num) {
-        Some(v) if v == SCHEMA_VERSION as f64 => {}
-        Some(v) => return Err(format!("unsupported schema_version {v}")),
-        None => return Err("missing schema_version".to_string()),
-    }
-    if root.get("suite").and_then(Json::as_str) != Some(SUITE) {
-        return Err(format!("suite must be \"{SUITE}\""));
-    }
-    match root.get("mode").and_then(Json::as_str) {
-        Some("full") | Some("smoke") => {}
-        _ => return Err("mode must be \"full\" or \"smoke\"".to_string()),
+    if !matches!(
+        check_header(&root, SCHEMA_VERSION, SUITE)?,
+        "full" | "smoke"
+    ) {
+        return Err("mode must be \"full\" or \"smoke\"".to_string());
     }
     match root.get("threads") {
         None => {}
@@ -478,16 +741,7 @@ pub fn validate(text: &str) -> Result<(), String> {
             .get("name")
             .and_then(Json::as_str)
             .ok_or(format!("bench {i}: missing name"))?;
-        // Every tracked row must carry its reference measurement: a null
-        // baseline means the `*_ref` oracle never ran, which is exactly how
-        // a silent regression hides (the ptw 0.79x slip shipped unnoticed
-        // because nothing compared the columns).
-        for (key, required) in [
-            ("ns_per_op", true),
-            ("gb_per_sec", false),
-            ("baseline_ns_per_op", true),
-            ("speedup", true),
-        ] {
+        for (key, required, _) in ROW_FIELDS {
             check_finite(row, key, required).map_err(|e| format!("bench '{name}': {e}"))?;
         }
         let speedup = row

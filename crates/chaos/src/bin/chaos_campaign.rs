@@ -23,68 +23,22 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use hypertee_bench::report::{check_file, ReportArgs};
 use hypertee_chaos::campaign::{run, ChaosConfig, ChaosOutcome};
-use hypertee_chaos::report::{render_report, render_sharded_report, validate};
+use hypertee_chaos::report::{finish_run, render_report, render_sharded_report, validate};
 use hypertee_chaos::sharded::{run_sharded, ShardedChaosConfig};
 
-struct Cli {
-    smoke: bool,
-    seed: u64,
-    out: String,
-    check: Option<String>,
-    shards: usize,
-    threads: usize,
-    ref_pump: bool,
-}
-
-fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        smoke: false,
-        seed: 0xC4A0_5EED,
-        out: String::new(),
-        check: None,
-        shards: 1,
-        threads: 1,
-        ref_pump: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => cli.smoke = true,
-            "--ref-pump" => cli.ref_pump = true,
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                cli.seed = v.parse().map_err(|_| format!("bad --seed value '{v}'"))?;
-            }
-            "--out" => cli.out = args.next().ok_or("--out needs a path")?,
-            "--check" => cli.check = Some(args.next().ok_or("--check needs a path")?),
-            "--shards" => {
-                let v = args.next().ok_or("--shards needs a value")?;
-                cli.shards = v.parse().map_err(|_| format!("bad --shards value '{v}'"))?;
-                if cli.shards == 0 {
-                    return Err("--shards must be at least 1".to_string());
-                }
-            }
-            "--threads" => {
-                let v = args.next().ok_or("--threads needs a value")?;
-                cli.threads = v
-                    .parse()
-                    .map_err(|_| format!("bad --threads value '{v}'"))?;
-                if cli.threads == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-            }
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    if cli.out.is_empty() {
-        cli.out = "BENCH_chaos.json".to_string();
-    }
-    Ok(cli)
-}
-
 fn main() -> ExitCode {
-    let cli = match parse_args() {
+    let takes = [
+        "--smoke",
+        "--ref-pump",
+        "--seed",
+        "--out",
+        "--check",
+        "--shards",
+        "--threads",
+    ];
+    let cli = match ReportArgs::new(0xC4A0_5EED, "BENCH_chaos.json").parse(&takes) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("chaos_campaign: {e}");
@@ -93,23 +47,7 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = &cli.check {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("chaos_campaign: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate(&text) {
-            Ok(()) => {
-                println!("{path}: OK");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        return check_file(path, validate);
     }
 
     let mut cfg = if cli.smoke {
@@ -181,7 +119,8 @@ fn main() -> ExitCode {
     };
     eprintln!(
         "chaos_campaign: {} requests, {} ok ({} recovered), shed={} expired={} timeouts={}, \
-         {} enclaves created, {} crash-restarts, audits={} ({}), lockstep={}",
+         {} enclaves created, {} crash-restarts, blackout p50/p99 = {}/{} cycles, \
+         audits={} ({}), lockstep={}",
         out.requests,
         out.ok_responses,
         out.recovered,
@@ -190,70 +129,25 @@ fn main() -> ExitCode {
         out.timeouts,
         out.enclaves_created,
         out.crash_restarts,
+        out.blackout_percentile(50),
+        out.blackout_percentile(99),
         out.audits,
         if out.audit_ok { "green" } else { "RED" },
         if out.lockstep_ok { "green" } else { "DIVERGED" },
     );
-    eprintln!(
-        "chaos_campaign: replay reproduced trace {:#018x}",
-        out.trace_hash
-    );
-
-    let mut failed = false;
-    if !out.audit_ok {
-        eprintln!(
-            "chaos_campaign: consistency audit failed: {:?}",
-            out.first_audit_error
-        );
-        failed = true;
-    }
-    if !out.lockstep_ok {
-        eprintln!(
-            "chaos_campaign: lockstep divergence: {:?}",
-            out.first_divergence
-        );
-        failed = true;
-    }
-    if out.stalled {
-        eprintln!("chaos_campaign: campaign stalled before draining");
-        failed = true;
-    }
-    if !cli.smoke {
-        // Acceptance floor for the committed fleet campaign.
-        if out.requests < 10_000 {
-            eprintln!(
-                "chaos_campaign: only {} requests (< 10,000 floor)",
-                out.requests
-            );
-            failed = true;
-        }
-        if out.enclaves_created < 1_000 {
-            eprintln!(
-                "chaos_campaign: only {} enclaves (< 1,000 floor)",
-                out.enclaves_created
-            );
-            failed = true;
-        }
-    }
-
-    if let Err(e) = validate(&text) {
-        eprintln!("chaos_campaign: emitted report fails validation: {e}");
-        failed = true;
-    }
-    if let Err(e) = std::fs::write(&cli.out, &text) {
-        eprintln!("chaos_campaign: cannot write {}: {e}", cli.out);
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "wrote {} ({} mode, blackout p50/p99 = {}/{} cycles)",
-        cli.out,
-        out.label,
-        out.blackout_percentile(50),
-        out.blackout_percentile(99),
-    );
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    // Acceptance floors for the committed fleet campaign.
+    let floors = [
+        ("requests", out.requests, 10_000),
+        ("enclaves", out.enclaves_created, 1_000),
+    ];
+    let floors = if cli.smoke { &[][..] } else { &floors[..] };
+    finish_run(
+        "chaos_campaign",
+        &out,
+        &text,
+        &cli.out,
+        validate,
+        floors,
+        Vec::new(),
+    )
 }

@@ -18,47 +18,14 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use hypertee_bench::report::{check_file, ReportArgs};
 use hypertee_chaos::campaign::{run, ChaosConfig};
+use hypertee_chaos::report::finish_run;
 use hypertee_chaos::serving_report::{render_serving_report, validate_serving};
 
-struct Cli {
-    smoke: bool,
-    ref_pump: bool,
-    seed: u64,
-    out: String,
-    check: Option<String>,
-}
-
-fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        smoke: false,
-        ref_pump: false,
-        seed: 0x5E11_F00D,
-        out: String::new(),
-        check: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => cli.smoke = true,
-            "--ref-pump" => cli.ref_pump = true,
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                cli.seed = v.parse().map_err(|_| format!("bad --seed value '{v}'"))?;
-            }
-            "--out" => cli.out = args.next().ok_or("--out needs a path")?,
-            "--check" => cli.check = Some(args.next().ok_or("--check needs a path")?),
-            other => return Err(format!("unknown argument '{other}'")),
-        }
-    }
-    if cli.out.is_empty() {
-        cli.out = "BENCH_serving.json".to_string();
-    }
-    Ok(cli)
-}
-
 fn main() -> ExitCode {
-    let cli = match parse_args() {
+    let takes = ["--smoke", "--ref-pump", "--seed", "--out", "--check"];
+    let cli = match ReportArgs::new(0x5E11_F00D, "BENCH_serving.json").parse(&takes) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("serving_bench: {e}");
@@ -67,23 +34,7 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = &cli.check {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("serving_bench: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_serving(&text) {
-            Ok(()) => {
-                println!("{path}: OK");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("{path}: INVALID: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        return check_file(path, validate_serving);
     }
 
     let mut cfg = if cli.smoke {
@@ -135,73 +86,27 @@ fn main() -> ExitCode {
         storm.handshake_p99_ticks,
         started.elapsed().as_secs_f64(),
     );
-    eprintln!(
-        "serving_bench: replay reproduced trace {:#018x}",
-        out.trace_hash
-    );
-
-    let mut failed = false;
+    let mut red = Vec::new();
     if storm.accepted_attacks() > 0 {
-        eprintln!(
-            "serving_bench: FAIL-CLOSED VIOLATED: {} attacks served",
-            storm.accepted_attacks()
-        );
-        failed = true;
+        let served = storm.accepted_attacks();
+        red.push(format!("FAIL-CLOSED VIOLATED: {served} attacks served"));
     }
-    if !out.audit_ok {
-        eprintln!(
-            "serving_bench: consistency audit failed: {:?}",
-            out.first_audit_error
-        );
-        failed = true;
-    }
-    if !out.lockstep_ok {
-        eprintln!(
-            "serving_bench: lockstep divergence: {:?}",
-            out.first_divergence
-        );
-        failed = true;
-    }
-    if out.stalled {
-        eprintln!("serving_bench: campaign stalled before draining");
-        failed = true;
-    }
-    if !cli.smoke {
-        // Acceptance floors for the committed serving campaign: a real
-        // storm (1,000+ handshakes) under a real fault campaign (1,000+
-        // service-transport injections).
-        if storm.handshakes_attempted < 1_000 {
-            eprintln!(
-                "serving_bench: only {} handshakes (< 1,000 floor)",
-                storm.handshakes_attempted
-            );
-            failed = true;
-        }
-        if storm.service_faults_injected < 1_000 {
-            eprintln!(
-                "serving_bench: only {} service faults (< 1,000 floor)",
-                storm.service_faults_injected
-            );
-            failed = true;
-        }
-    }
-
+    // Acceptance floors for the committed serving campaign: a real storm
+    // (1,000+ handshakes) under a real fault campaign (1,000+
+    // service-transport injections).
+    let floors = [
+        ("handshakes", storm.handshakes_attempted, 1_000),
+        ("service faults", storm.service_faults_injected, 1_000),
+    ];
+    let floors = if cli.smoke { &[][..] } else { &floors[..] };
     let text = render_serving_report(&out);
-    if let Err(e) = validate_serving(&text) {
-        eprintln!("serving_bench: emitted report fails validation: {e}");
-        failed = true;
-    }
-    if let Err(e) = std::fs::write(&cli.out, &text) {
-        eprintln!("serving_bench: cannot write {}: {e}", cli.out);
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "wrote {} ({} mode, {} handshakes, 0 attacks accepted required)",
-        cli.out, out.label, storm.handshakes_completed,
-    );
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    finish_run(
+        "serving_bench",
+        &out,
+        &text,
+        &cli.out,
+        validate_serving,
+        floors,
+        red,
+    )
 }

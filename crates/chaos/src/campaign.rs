@@ -22,6 +22,7 @@ use std::collections::{BTreeMap, VecDeque};
 use hypertee::machine::{DegradePolicy, Machine, MachineError};
 use hypertee::pipeline::Completion;
 use hypertee_crypto::chacha::ChaChaRng;
+use hypertee_crypto::util::{fnv1a_words, FNV_OFFSET};
 use hypertee_ems::control::layout;
 use hypertee_fabric::message::{Primitive, Privilege, Response, Status};
 use hypertee_faults::{FaultConfig, FaultPlan};
@@ -358,14 +359,6 @@ struct Session {
     stage: Option<(Ppn, u64)>,
 }
 
-/// FNV-1a fold of one event tuple into the running trace hash.
-fn fold(hash: &mut u64, vals: &[u64]) {
-    for v in vals {
-        *hash ^= *v;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// Stable numeric code for a completion outcome (feeds the trace hash).
 fn outcome_code(result: &Result<Response, MachineError>) -> u64 {
     match result {
@@ -628,13 +621,13 @@ impl Driver {
             Ok(call) => {
                 self.route.insert(call.id, Route::Session(s));
                 self.sessions[s].state = SessionState::InFlight;
-                fold(&mut self.hash, &[1, tick, s as u64, step.code()]);
+                fnv1a_words(&mut self.hash, &[1, tick, s as u64, step.code()]);
             }
             Err(MachineError::Backpressure) => {
                 // Graceful degradation: back off and retry; give up after a
                 // budget (the request never entered the machine).
                 self.unreserve_enter(s, step);
-                fold(&mut self.hash, &[3, tick, s as u64, step.code()]);
+                fnv1a_words(&mut self.hash, &[3, tick, s as u64, step.code()]);
                 let sess = &mut self.sessions[s];
                 sess.shed_tries += 1;
                 sess.wait_until = tick + SHED_BACKOFF_TICKS;
@@ -820,7 +813,7 @@ impl Driver {
             if reclaimed {
                 self.reclaimed_enclaves += 1;
             }
-            fold(&mut self.hash, &[9, tick, eid, u64::from(reclaimed)]);
+            fnv1a_words(&mut self.hash, &[9, tick, eid, u64::from(reclaimed)]);
         }
     }
 
@@ -842,9 +835,9 @@ impl Driver {
     fn run_audit(&mut self, tick: u64) {
         self.audits += 1;
         match self.m.audit() {
-            Ok(_) => fold(&mut self.hash, &[6, tick, 1]),
+            Ok(_) => fnv1a_words(&mut self.hash, &[6, tick, 1]),
             Err(e) => {
-                fold(&mut self.hash, &[6, tick, 0]);
+                fnv1a_words(&mut self.hash, &[6, tick, 0]);
                 if self.audit_ok {
                     self.audit_ok = false;
                     self.first_audit_error = Some(format!("tick {tick}: {e:?}"));
@@ -877,7 +870,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
         hart_owner: vec![None; HARTS],
         route: BTreeMap::new(),
         live: 0,
-        hash: 0xcbf2_9ce4_8422_2325 ^ cfg.seed,
+        hash: FNV_OFFSET ^ cfg.seed,
         latencies: Vec::new(),
         sessions_done: 0,
         sessions_failed: 0,
@@ -987,7 +980,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
         if next_crash < crash_ticks.len() && tick >= crash_ticks[next_crash] {
             let dropped = d.m.crash_restart_ems() as u64;
             d.crash_dropped += dropped;
-            fold(&mut d.hash, &[4, tick, dropped]);
+            fnv1a_words(&mut d.hash, &[4, tick, dropped]);
             d.run_audit(tick);
             // Supervised recovery: the facade notices the epoch bump,
             // revokes every session, and re-probes before serving again.
@@ -1007,10 +1000,10 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
             let tag = next_migration as u64;
             match migration.start(&mut d.m, tag) {
                 Some(p) => {
-                    fold(&mut d.hash, &[5, tick, tag]);
+                    fnv1a_words(&mut d.hash, &[5, tick, tag]);
                     live_migration = Some((p, tick + 24 + 2 * tag, d.m.clock.0));
                 }
-                None => fold(&mut d.hash, &[5, tick, 0]),
+                None => fnv1a_words(&mut d.hash, &[5, tick, 0]),
             }
         }
         if let Some((_, finish_tick, _)) = &live_migration {
@@ -1018,7 +1011,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
                 let (p, _, t0) = live_migration.take().expect("checked above");
                 let blackout = d.m.clock.0.saturating_sub(t0);
                 migration.finish(p, blackout);
-                fold(&mut d.hash, &[5, tick, blackout]);
+                fnv1a_words(&mut d.hash, &[5, tick, blackout]);
             }
         }
 
@@ -1029,7 +1022,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
                 d.m.submit_as(hart, Privilege::Os, Primitive::Ewb, vec![4], vec![])
             {
                 d.route.insert(call.id, Route::Background);
-                fold(&mut d.hash, &[1, tick, u64::MAX, 9]);
+                fnv1a_words(&mut d.hash, &[1, tick, u64::MAX, 9]);
             }
         }
 
@@ -1066,7 +1059,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
             let code = outcome_code(&c.result);
             match d.route.remove(&c.call.id) {
                 Some(Route::Session(s)) => {
-                    fold(
+                    fnv1a_words(
                         &mut d.hash,
                         &[
                             2,
@@ -1080,7 +1073,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
                     d.handle_completion(s, &c, tick);
                 }
                 Some(Route::Background) | None => {
-                    fold(
+                    fnv1a_words(
                         &mut d.hash,
                         &[2, tick, u64::MAX, 9, code, u64::from(c.attempts)],
                     );
@@ -1105,7 +1098,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
     // Fold the storm's verdict into the trace before the final fold.
     let storm_outcome = storm.map(StormDriver::finish);
     if let Some(so) = &storm_outcome {
-        fold(
+        fnv1a_words(
             &mut d.hash,
             &[
                 10,
@@ -1133,7 +1126,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
         campaign.faults = Some(FaultConfig::model_campaign());
         campaign.checkpoint_every = 24;
         let outcome = run_campaign(&campaign, &commands);
-        fold(
+        fnv1a_words(
             &mut d.hash,
             &[
                 7,
@@ -1170,7 +1163,7 @@ pub fn run(cfg: &ChaosConfig) -> ChaosOutcome {
 
     let stats = d.m.pipeline_stats();
     let crash_restarts = d.m.ems.stats.crash_restarts;
-    fold(
+    fnv1a_words(
         &mut d.hash,
         &[
             8,

@@ -1,15 +1,18 @@
 //! `BENCH_chaos.json`: schema-stable serialization of a campaign outcome,
 //! plus the validator `scripts/verify.sh` gates on.
 //!
-//! The emitter is hand-rolled (the workspace takes no external
-//! dependencies) in the exact style of `hypertee_bench::report`, and the
-//! validator reuses that crate's JSON parser. Renaming or removing a key,
+//! `FIELDS` lists every top-level field once; the renderer and the
+//! validator both walk it through `hypertee_bench::report`, which also
+//! holds the JSON helpers every suite shares. Renaming or removing a key,
 //! or bumping [`SCHEMA_VERSION`], is a breaking change and must be called
 //! out in the PR description.
 
 use hypertee_bench::report::{
-    parse_json, push_json_str, push_kv_u64, req_bool, req_counter, req_hex_u64, Json,
+    check_fields, check_slo_cdf, push_slo_cdf, render_fields, req_counter as counter, req_hex_u64,
+    Field, Json, Kind::*, AUDIT_OK, LOCKSTEP_OK, STALLED,
 };
+
+use std::process::ExitCode;
 
 use crate::campaign::ChaosOutcome;
 use crate::sharded::ShardedChaosOutcome;
@@ -20,31 +23,52 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// Suite identifier baked into every report.
 pub const SUITE: &str = "hypertee-chaos";
 
-/// Counter keys every report must carry (all finite non-negative numbers).
-const REQUIRED_COUNTERS: [&str; 23] = [
-    "ticks",
-    "requests",
-    "completions",
-    "ok_responses",
-    "recovered",
-    "rejections",
-    "timeouts",
-    "shed",
-    "expired",
-    "retries",
-    "sessions",
-    "sessions_done",
-    "sessions_failed",
-    "enclaves_created",
-    "enclaves_destroyed",
-    "leaked_enclaves",
-    "reclaimed_enclaves",
-    "faults_injected",
-    "crash_restarts",
-    "crash_dropped_requests",
-    "audits",
-    "migrations_completed",
-    "migrations_failed",
+/// The suite's field table, in emission order (after the header).
+const FIELDS: &[Field<ChaosOutcome>] = &[
+    ("seed", HexU64, |o| o.seed),
+    ("trace_hash", HexU64, |o| o.trace_hash),
+    ("ticks", Counter, |o| o.ticks),
+    ("requests", Counter, |o| o.requests),
+    ("completions", Counter, |o| o.completions),
+    ("ok_responses", Counter, |o| o.ok_responses),
+    ("recovered", Counter, |o| o.recovered),
+    ("rejections", Counter, |o| o.rejections),
+    ("timeouts", Counter, |o| o.timeouts),
+    ("shed", Counter, |o| o.shed),
+    ("expired", Counter, |o| o.expired),
+    ("retries", Counter, |o| o.retries),
+    ("sessions", Counter, |o| o.sessions as u64),
+    ("sessions_done", Counter, |o| o.sessions_done as u64),
+    ("sessions_failed", Counter, |o| o.sessions_failed as u64),
+    ("enclaves_created", Counter, |o| o.enclaves_created),
+    ("enclaves_destroyed", Counter, |o| o.enclaves_destroyed),
+    ("leaked_enclaves", Counter, |o| o.leaked_enclaves),
+    ("reclaimed_enclaves", Counter, |o| o.reclaimed_enclaves),
+    ("faults_injected", Counter, |o| o.faults_injected),
+    ("crash_restarts", Counter, |o| o.crash_restarts),
+    ("crash_dropped_requests", Counter, |o| {
+        o.crash_dropped_requests
+    }),
+    ("queue_depth_hwm", Counter, |o| o.queue_depth_hwm as u64),
+    ("in_flight_hwm", Counter, |o| o.in_flight_hwm as u64),
+    ("audits", Counter, |o| o.audits),
+    ("audit_ok", AUDIT_OK, |o| u64::from(o.audit_ok)),
+    ("lockstep_rounds", Counter, |o| u64::from(o.lockstep_rounds)),
+    ("lockstep_ok", LOCKSTEP_OK, |o| u64::from(o.lockstep_ok)),
+    ("migrations_completed", Counter, |o| {
+        u64::from(o.migrations_completed)
+    }),
+    ("migrations_failed", Counter, |o| {
+        u64::from(o.migrations_failed)
+    }),
+    ("blackout_p50_cycles", Counter, |o| {
+        o.blackout_percentile(50)
+    }),
+    ("blackout_p99_cycles", Counter, |o| {
+        o.blackout_percentile(99)
+    }),
+    ("clock_cycles", Counter, |o| o.clock_cycles),
+    ("stalled", STALLED, |o| u64::from(o.stalled)),
 ];
 
 /// Serializes a campaign outcome as `BENCH_chaos.json`.
@@ -63,59 +87,7 @@ pub fn render_sharded_report(out: &ShardedChaosOutcome) -> String {
 }
 
 fn render(out: &ChaosOutcome, sharding: Option<&ShardedChaosOutcome>) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-    s.push_str(&format!("  \"suite\": \"{SUITE}\",\n"));
-    s.push_str("  \"mode\": ");
-    push_json_str(&mut s, out.label);
-    s.push_str(",\n");
-    // Seed and trace hash are hex strings: full u64 range, no f64 loss.
-    s.push_str(&format!("  \"seed\": \"0x{:016x}\",\n", out.seed));
-    s.push_str(&format!(
-        "  \"trace_hash\": \"0x{:016x}\",\n",
-        out.trace_hash
-    ));
-    push_kv_u64(&mut s, "ticks", out.ticks);
-    push_kv_u64(&mut s, "requests", out.requests);
-    push_kv_u64(&mut s, "completions", out.completions);
-    push_kv_u64(&mut s, "ok_responses", out.ok_responses);
-    push_kv_u64(&mut s, "recovered", out.recovered);
-    push_kv_u64(&mut s, "rejections", out.rejections);
-    push_kv_u64(&mut s, "timeouts", out.timeouts);
-    push_kv_u64(&mut s, "shed", out.shed);
-    push_kv_u64(&mut s, "expired", out.expired);
-    push_kv_u64(&mut s, "retries", out.retries);
-    push_kv_u64(&mut s, "sessions", out.sessions as u64);
-    push_kv_u64(&mut s, "sessions_done", out.sessions_done as u64);
-    push_kv_u64(&mut s, "sessions_failed", out.sessions_failed as u64);
-    push_kv_u64(&mut s, "enclaves_created", out.enclaves_created);
-    push_kv_u64(&mut s, "enclaves_destroyed", out.enclaves_destroyed);
-    push_kv_u64(&mut s, "leaked_enclaves", out.leaked_enclaves);
-    push_kv_u64(&mut s, "reclaimed_enclaves", out.reclaimed_enclaves);
-    push_kv_u64(&mut s, "faults_injected", out.faults_injected);
-    push_kv_u64(&mut s, "crash_restarts", out.crash_restarts);
-    push_kv_u64(&mut s, "crash_dropped_requests", out.crash_dropped_requests);
-    push_kv_u64(&mut s, "queue_depth_hwm", out.queue_depth_hwm as u64);
-    push_kv_u64(&mut s, "in_flight_hwm", out.in_flight_hwm as u64);
-    push_kv_u64(&mut s, "audits", out.audits);
-    s.push_str(&format!("  \"audit_ok\": {},\n", out.audit_ok));
-    push_kv_u64(&mut s, "lockstep_rounds", u64::from(out.lockstep_rounds));
-    s.push_str(&format!("  \"lockstep_ok\": {},\n", out.lockstep_ok));
-    push_kv_u64(
-        &mut s,
-        "migrations_completed",
-        u64::from(out.migrations_completed),
-    );
-    push_kv_u64(
-        &mut s,
-        "migrations_failed",
-        u64::from(out.migrations_failed),
-    );
-    push_kv_u64(&mut s, "blackout_p50_cycles", out.blackout_percentile(50));
-    push_kv_u64(&mut s, "blackout_p99_cycles", out.blackout_percentile(99));
-    push_kv_u64(&mut s, "clock_cycles", out.clock_cycles);
-    s.push_str(&format!("  \"stalled\": {},\n", out.stalled));
+    let mut s = render_fields(SCHEMA_VERSION, SUITE, out.label, FIELDS, out);
     if let Some(sh) = sharding {
         s.push_str("  \"sharding\": {\n");
         s.push_str(&format!("    \"shards\": {},\n", sh.shards));
@@ -138,72 +110,22 @@ fn render(out: &ChaosOutcome, sharding: Option<&ShardedChaosOutcome>) -> String 
         }
         s.push_str("    ]\n  },\n");
     }
-    s.push_str("  \"slo_cdf\": [\n");
-    for (i, (mult, frac)) in out.slo_cdf.iter().enumerate() {
-        assert!(frac.is_finite(), "refusing to emit non-finite fraction");
-        s.push_str(&format!(
-            "    {{ \"round_trip_multiple\": {mult}, \"fraction\": {frac:.6} }}"
-        ));
-        if i + 1 < out.slo_cdf.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ]\n}\n");
+    push_slo_cdf(&mut s, "round_trip_multiple", &out.slo_cdf);
     s
 }
 
-use req_bool as boolean;
-use req_counter as counter;
-
-/// Validates a `BENCH_chaos.json` document: schema version and suite,
-/// every counter present and finite, the audit and lockstep verdicts
-/// green, the campaign drained, and a sane (monotone, `[0, 1]`-bounded)
+/// Validates a `BENCH_chaos.json` document: the header and every
+/// `FIELDS` row (counters finite, audit and lockstep verdicts green, the
+/// campaign drained), session conservation, ordered blackout percentiles,
+/// the optional sharding section, and a sane (monotone, `[0, 1]`-bounded)
 /// SLO CDF. This is the gate `scripts/verify.sh` runs against the smoke
-/// report.
+/// and committed reports.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first violation.
 pub fn validate(text: &str) -> Result<(), String> {
-    let doc = parse_json(text)?;
-    match doc.get("schema_version").and_then(Json::as_num) {
-        Some(v) if v == SCHEMA_VERSION as f64 => {}
-        Some(v) => return Err(format!("unsupported schema_version {v}")),
-        None => return Err("missing schema_version".to_string()),
-    }
-    match doc.get("suite").and_then(Json::as_str) {
-        Some(SUITE) => {}
-        Some(other) => return Err(format!("wrong suite '{other}'")),
-        None => return Err("missing suite".to_string()),
-    }
-    if doc.get("mode").and_then(Json::as_str).is_none() {
-        return Err("missing mode".to_string());
-    }
-    for key in ["seed", "trace_hash"] {
-        req_hex_u64(&doc, key)?;
-    }
-    for key in REQUIRED_COUNTERS {
-        counter(&doc, key)?;
-    }
-    for key in [
-        "queue_depth_hwm",
-        "in_flight_hwm",
-        "blackout_p50_cycles",
-        "blackout_p99_cycles",
-        "clock_cycles",
-    ] {
-        counter(&doc, key)?;
-    }
-    if !boolean(&doc, "audit_ok")? {
-        return Err("audit_ok is false: a consistency audit failed".to_string());
-    }
-    if !boolean(&doc, "lockstep_ok")? {
-        return Err("lockstep_ok is false: the reference model diverged".to_string());
-    }
-    if boolean(&doc, "stalled")? {
-        return Err("stalled is true: the campaign did not drain".to_string());
-    }
+    let doc = check_fields(text, SCHEMA_VERSION, SUITE, FIELDS)?;
     // Conservation: every offered session must have terminated.
     let sessions = counter(&doc, "sessions")?;
     let done = counter(&doc, "sessions_done")?;
@@ -249,30 +171,51 @@ pub fn validate(text: &str) -> Result<(), String> {
             ));
         }
     }
-    let Some(Json::Arr(cdf)) = doc.get("slo_cdf") else {
-        return Err("missing or non-array slo_cdf".to_string());
-    };
-    if cdf.is_empty() {
-        return Err("slo_cdf is empty".to_string());
+    check_slo_cdf(&doc, "round_trip_multiple", "multiples")
+}
+
+/// The closing gates both campaign runners share. `red` carries the
+/// runner's own failed gates; to them this adds every `(what, value,
+/// floor)` acceptance floor not met, each red campaign verdict (audit,
+/// lockstep, drain) with its first cause, and a failed re-validation of
+/// the emitted report `text`. Prints every cause, writes `text` to `path`,
+/// and fails the exit code if any gate failed.
+pub fn finish_run(
+    tool: &str,
+    out: &ChaosOutcome,
+    text: &str,
+    path: &str,
+    validate: fn(&str) -> Result<(), String>,
+    floors: &[(&str, u64, u64)],
+    mut red: Vec<String>,
+) -> ExitCode {
+    eprintln!("{tool}: replay reproduced trace {:#018x}", out.trace_hash);
+    for &(what, v, floor) in floors.iter().filter(|(_, v, floor)| v < floor) {
+        red.push(format!("only {v} {what} (< {floor} floor)"));
     }
-    let mut prev_mult = 0.0f64;
-    let mut prev_frac = -1.0f64;
-    for row in cdf {
-        let mult = counter(row, "round_trip_multiple")?;
-        let frac = counter(row, "fraction")?;
-        if mult <= prev_mult {
-            return Err("slo_cdf multiples must be strictly increasing".to_string());
-        }
-        if !(0.0..=1.0).contains(&frac) {
-            return Err(format!("slo_cdf fraction {frac} out of [0, 1]"));
-        }
-        if frac < prev_frac {
-            return Err("slo_cdf fractions must be non-decreasing".to_string());
-        }
-        prev_mult = mult;
-        prev_frac = frac;
+    let verdicts = [
+        (!out.audit_ok).then(|| format!("consistency audit failed: {:?}", out.first_audit_error)),
+        (!out.lockstep_ok).then(|| format!("lockstep divergence: {:?}", out.first_divergence)),
+        out.stalled
+            .then(|| "campaign stalled before draining".to_string()),
+        validate(text)
+            .err()
+            .map(|e| format!("emitted report fails validation: {e}")),
+    ];
+    red.extend(verdicts.into_iter().flatten());
+    for cause in &red {
+        eprintln!("{tool}: {cause}");
     }
-    Ok(())
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("{tool}: cannot write {path}: {e}");
+        return ExitCode::FAILURE;
+    }
+    println!("wrote {path} ({} mode)", out.label);
+    if red.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }
 
 #[cfg(test)]
@@ -280,6 +223,7 @@ mod tests {
     use super::*;
     use crate::campaign::{run, ChaosConfig};
     use crate::traffic::TrafficConfig;
+    use hypertee_bench::report::without_each_key;
 
     fn tiny_outcome() -> ChaosOutcome {
         run(&ChaosConfig {
@@ -331,7 +275,13 @@ mod tests {
     fn validator_rejects_missing_counter() {
         let out = tiny_outcome();
         let text = render_report(&out);
-        let broken = text.replace("  \"recovered\":", "  \"recovered_zzz\":");
-        assert!(validate(&broken).unwrap_err().contains("recovered"));
+        // Drift guard: deleting any key the renderer emits must fail the
+        // validator with an error that names the key.
+        let cases = without_each_key(&text);
+        assert_eq!(cases.len(), FIELDS.len() + 4, "header + table + slo_cdf");
+        for (key, broken) in cases {
+            let err = validate(&broken).expect_err(&key);
+            assert!(err.contains(&key), "deleting '{key}' gave: {err}");
+        }
     }
 }

@@ -4,14 +4,17 @@
 //! The report is the artifact form of the fail-closed proof: every
 //! `*_accepted` attack counter is emitted **and pinned to zero by the
 //! validator**, alongside handshake latency percentiles, breaker
-//! transitions, and the storm SLO CDF. Emitter and validator share the
-//! hand-rolled JSON helpers in `hypertee_bench::report`.
+//! transitions, and the storm SLO CDF. `FIELDS` lists every top-level
+//! field once; the renderer and the validator both walk it through
+//! `hypertee_bench::report`.
 
 use hypertee_bench::report::{
-    parse_json, push_json_str, push_kv_u64, req_bool, req_counter, req_hex_u64, Json,
+    check_fields, check_slo_cdf, push_slo_cdf, render_fields, req_counter as counter, Field, Kind,
+    Kind::*, AUDIT_OK, LOCKSTEP_OK, STALLED,
 };
 
 use crate::campaign::ChaosOutcome;
+use crate::storm::StormOutcome;
 
 /// Version of the emitted JSON schema.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -19,48 +22,93 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// Suite identifier baked into every report.
 pub const SUITE: &str = "hypertee-serving";
 
-/// Counter keys every report must carry (finite non-negative numbers).
-const REQUIRED_COUNTERS: [&str; 30] = [
-    "clients",
-    "handshakes_attempted",
-    "handshakes_completed",
-    "handshake_retries",
-    "calls_attempted",
-    "calls_ok",
-    "reattestations",
-    "pre_ready_attempts",
-    "pre_ready_accepted",
-    "stale_quote_attempts",
-    "stale_quote_accepted",
-    "replay_attempts",
-    "replay_accepted",
-    "duplicate_attempts",
-    "duplicate_accepted",
-    "forged_token_attempts",
-    "forged_token_accepted",
-    "breaker_to_open",
-    "breaker_to_half_open",
-    "breaker_to_closed",
-    "breaker_shed",
-    "reprobes",
-    "sessions_revoked",
-    "not_ready_rejects",
-    "stale_challenge_rejects",
-    "service_faults_injected",
-    "handshake_p50_ticks",
-    "handshake_p99_ticks",
-    "crash_restarts",
-    "fleet_requests",
-];
+/// Accepted-attack counters are pinned to zero: any non-zero value means
+/// the facade served an attack — before readiness, stale, replayed,
+/// duplicated, or forged — and the artifact is rejected.
+const ACCEPTED: Kind = MustBeZero("the facade served an attack (fail-closed violated)");
 
-/// Accepted-attack counters the validator pins to zero: any non-zero value
-/// means the facade served an attack and the artifact is rejected.
-const MUST_BE_ZERO: [&str; 5] = [
-    "pre_ready_accepted",
-    "stale_quote_accepted",
-    "replay_accepted",
-    "duplicate_accepted",
-    "forged_token_accepted",
+fn storm(o: &ChaosOutcome) -> &StormOutcome {
+    o.storm
+        .as_ref()
+        .expect("serving report requires a storm campaign outcome")
+}
+
+/// The suite's field table, in emission order (after the header): the
+/// storm's counters, then the campaign context the storm rode through.
+const FIELDS: &[Field<ChaosOutcome>] = &[
+    ("seed", HexU64, |o| o.seed),
+    ("trace_hash", HexU64, |o| o.trace_hash),
+    ("clients", Counter, |o| storm(o).clients as u64),
+    ("handshakes_attempted", Counter, |o| {
+        storm(o).handshakes_attempted
+    }),
+    ("handshakes_completed", Counter, |o| {
+        storm(o).handshakes_completed
+    }),
+    ("handshake_retries", Counter, |o| storm(o).handshake_retries),
+    ("calls_attempted", Counter, |o| storm(o).calls_attempted),
+    ("calls_ok", Counter, |o| storm(o).calls_ok),
+    ("reattestations", Counter, |o| storm(o).reattestations),
+    ("pre_ready_attempts", Counter, |o| {
+        storm(o).pre_ready_attempts
+    }),
+    ("pre_ready_accepted", ACCEPTED, |o| {
+        storm(o).pre_ready_accepted
+    }),
+    ("stale_quote_attempts", Counter, |o| {
+        storm(o).stale_quote_attempts
+    }),
+    ("stale_quote_accepted", ACCEPTED, |o| {
+        storm(o).stale_quote_accepted
+    }),
+    ("replay_attempts", Counter, |o| storm(o).replay_attempts),
+    ("replay_accepted", ACCEPTED, |o| storm(o).replay_accepted),
+    ("duplicate_attempts", Counter, |o| {
+        storm(o).duplicate_attempts
+    }),
+    ("duplicate_accepted", ACCEPTED, |o| {
+        storm(o).duplicate_accepted
+    }),
+    ("forged_token_attempts", Counter, |o| {
+        storm(o).forged_token_attempts
+    }),
+    ("forged_token_accepted", ACCEPTED, |o| {
+        storm(o).forged_token_accepted
+    }),
+    ("breaker_to_open", Counter, |o| storm(o).breaker_to_open),
+    ("breaker_to_half_open", Counter, |o| {
+        storm(o).breaker_to_half_open
+    }),
+    ("breaker_to_closed", Counter, |o| storm(o).breaker_to_closed),
+    ("breaker_shed", Counter, |o| storm(o).breaker_shed),
+    ("reprobes", Counter, |o| storm(o).reprobes),
+    ("sessions_revoked", Counter, |o| storm(o).sessions_revoked),
+    ("not_ready_rejects", Counter, |o| storm(o).not_ready_rejects),
+    ("stale_challenge_rejects", Counter, |o| {
+        storm(o).stale_challenge_rejects
+    }),
+    ("epoch_rejects", Counter, |o| storm(o).epoch_rejects),
+    ("expired_token_rejects", Counter, |o| {
+        storm(o).expired_token_rejects
+    }),
+    ("service_faults_injected", Counter, |o| {
+        storm(o).service_faults_injected
+    }),
+    ("handshake_p50_ticks", Counter, |o| {
+        storm(o).handshake_p50_ticks
+    }),
+    ("handshake_p99_ticks", Counter, |o| {
+        storm(o).handshake_p99_ticks
+    }),
+    ("crash_restarts", Counter, |o| o.crash_restarts),
+    ("migrations_completed", Counter, |o| {
+        u64::from(o.migrations_completed)
+    }),
+    ("fleet_requests", Counter, |o| o.requests),
+    ("reclaimed_enclaves", Counter, |o| o.reclaimed_enclaves),
+    ("audit_ok", AUDIT_OK, |o| u64::from(o.audit_ok)),
+    ("lockstep_ok", LOCKSTEP_OK, |o| u64::from(o.lockstep_ok)),
+    ("stalled", STALLED, |o| u64::from(o.stalled)),
 ];
 
 /// Serializes a storm campaign outcome as `BENCH_serving.json`.
@@ -70,138 +118,22 @@ const MUST_BE_ZERO: [&str; 5] = [
 /// Panics when the outcome carries no storm (the campaign was run without
 /// `ChaosConfig::storm`) — a serving report without a storm is meaningless.
 pub fn render_serving_report(out: &ChaosOutcome) -> String {
-    let storm = out
-        .storm
-        .as_ref()
-        .expect("serving report requires a storm campaign outcome");
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str(&format!("  \"schema_version\": {SCHEMA_VERSION},\n"));
-    s.push_str(&format!("  \"suite\": \"{SUITE}\",\n"));
-    s.push_str("  \"mode\": ");
-    push_json_str(&mut s, out.label);
-    s.push_str(",\n");
-    s.push_str(&format!("  \"seed\": \"0x{:016x}\",\n", out.seed));
-    s.push_str(&format!(
-        "  \"trace_hash\": \"0x{:016x}\",\n",
-        out.trace_hash
-    ));
-    push_kv_u64(&mut s, "clients", storm.clients as u64);
-    push_kv_u64(&mut s, "handshakes_attempted", storm.handshakes_attempted);
-    push_kv_u64(&mut s, "handshakes_completed", storm.handshakes_completed);
-    push_kv_u64(&mut s, "handshake_retries", storm.handshake_retries);
-    push_kv_u64(&mut s, "calls_attempted", storm.calls_attempted);
-    push_kv_u64(&mut s, "calls_ok", storm.calls_ok);
-    push_kv_u64(&mut s, "reattestations", storm.reattestations);
-    push_kv_u64(&mut s, "pre_ready_attempts", storm.pre_ready_attempts);
-    push_kv_u64(&mut s, "pre_ready_accepted", storm.pre_ready_accepted);
-    push_kv_u64(&mut s, "stale_quote_attempts", storm.stale_quote_attempts);
-    push_kv_u64(&mut s, "stale_quote_accepted", storm.stale_quote_accepted);
-    push_kv_u64(&mut s, "replay_attempts", storm.replay_attempts);
-    push_kv_u64(&mut s, "replay_accepted", storm.replay_accepted);
-    push_kv_u64(&mut s, "duplicate_attempts", storm.duplicate_attempts);
-    push_kv_u64(&mut s, "duplicate_accepted", storm.duplicate_accepted);
-    push_kv_u64(&mut s, "forged_token_attempts", storm.forged_token_attempts);
-    push_kv_u64(&mut s, "forged_token_accepted", storm.forged_token_accepted);
-    push_kv_u64(&mut s, "breaker_to_open", storm.breaker_to_open);
-    push_kv_u64(&mut s, "breaker_to_half_open", storm.breaker_to_half_open);
-    push_kv_u64(&mut s, "breaker_to_closed", storm.breaker_to_closed);
-    push_kv_u64(&mut s, "breaker_shed", storm.breaker_shed);
-    push_kv_u64(&mut s, "reprobes", storm.reprobes);
-    push_kv_u64(&mut s, "sessions_revoked", storm.sessions_revoked);
-    push_kv_u64(&mut s, "not_ready_rejects", storm.not_ready_rejects);
-    push_kv_u64(
-        &mut s,
-        "stale_challenge_rejects",
-        storm.stale_challenge_rejects,
-    );
-    push_kv_u64(&mut s, "epoch_rejects", storm.epoch_rejects);
-    push_kv_u64(&mut s, "expired_token_rejects", storm.expired_token_rejects);
-    push_kv_u64(
-        &mut s,
-        "service_faults_injected",
-        storm.service_faults_injected,
-    );
-    push_kv_u64(&mut s, "handshake_p50_ticks", storm.handshake_p50_ticks);
-    push_kv_u64(&mut s, "handshake_p99_ticks", storm.handshake_p99_ticks);
-    // Campaign context the storm rode through.
-    push_kv_u64(&mut s, "crash_restarts", out.crash_restarts);
-    push_kv_u64(
-        &mut s,
-        "migrations_completed",
-        u64::from(out.migrations_completed),
-    );
-    push_kv_u64(&mut s, "fleet_requests", out.requests);
-    push_kv_u64(&mut s, "reclaimed_enclaves", out.reclaimed_enclaves);
-    s.push_str(&format!("  \"audit_ok\": {},\n", out.audit_ok));
-    s.push_str(&format!("  \"lockstep_ok\": {},\n", out.lockstep_ok));
-    s.push_str(&format!("  \"stalled\": {},\n", out.stalled));
-    s.push_str("  \"slo_cdf\": [\n");
-    for (i, (bound, frac)) in storm.slo_cdf.iter().enumerate() {
-        assert!(frac.is_finite(), "refusing to emit non-finite fraction");
-        s.push_str(&format!(
-            "    {{ \"tick_bound\": {bound}, \"fraction\": {frac:.6} }}"
-        ));
-        if i + 1 < storm.slo_cdf.len() {
-            s.push(',');
-        }
-        s.push('\n');
-    }
-    s.push_str("  ]\n}\n");
+    let mut s = render_fields(SCHEMA_VERSION, SUITE, out.label, FIELDS, out);
+    push_slo_cdf(&mut s, "tick_bound", &storm(out).slo_cdf);
     s
 }
 
-use req_bool as boolean;
-use req_counter as counter;
-
-/// Validates a `BENCH_serving.json` document: schema and suite, every
-/// counter present, **every accepted-attack counter exactly zero**, green
-/// audit/lockstep verdicts, a drained campaign, consistent handshake
-/// accounting, ordered percentiles, and a sane SLO CDF.
+/// Validates a `BENCH_serving.json` document: the header and every
+/// `FIELDS` row (counters present, **every accepted-attack counter
+/// exactly zero**, green audit/lockstep verdicts, a drained campaign),
+/// consistent handshake accounting, ordered percentiles, and a sane SLO
+/// CDF.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first violation.
 pub fn validate_serving(text: &str) -> Result<(), String> {
-    let doc = parse_json(text)?;
-    match doc.get("schema_version").and_then(Json::as_num) {
-        Some(v) if v == SCHEMA_VERSION as f64 => {}
-        Some(v) => return Err(format!("unsupported schema_version {v}")),
-        None => return Err("missing schema_version".to_string()),
-    }
-    match doc.get("suite").and_then(Json::as_str) {
-        Some(SUITE) => {}
-        Some(other) => return Err(format!("wrong suite '{other}'")),
-        None => return Err("missing suite".to_string()),
-    }
-    if doc.get("mode").and_then(Json::as_str).is_none() {
-        return Err("missing mode".to_string());
-    }
-    for key in ["seed", "trace_hash"] {
-        req_hex_u64(&doc, key)?;
-    }
-    for key in REQUIRED_COUNTERS {
-        counter(&doc, key)?;
-    }
-    // The fail-closed verdict: the facade must not have served a single
-    // attack — before readiness, stale, replayed, duplicated, or forged.
-    for key in MUST_BE_ZERO {
-        let v = counter(&doc, key)?;
-        if v != 0.0 {
-            return Err(format!(
-                "{key} = {v}: the facade served an attack (fail-closed violated)"
-            ));
-        }
-    }
-    if !boolean(&doc, "audit_ok")? {
-        return Err("audit_ok is false: a consistency audit failed".to_string());
-    }
-    if !boolean(&doc, "lockstep_ok")? {
-        return Err("lockstep_ok is false: the reference model diverged".to_string());
-    }
-    if boolean(&doc, "stalled")? {
-        return Err("stalled is true: the campaign did not drain".to_string());
-    }
+    let doc = check_fields(text, SCHEMA_VERSION, SUITE, FIELDS)?;
     // Handshake accounting: completions never exceed attempts, and the
     // storm must actually have attested something.
     let attempted = counter(&doc, "handshakes_attempted")?;
@@ -220,30 +152,7 @@ pub fn validate_serving(text: &str) -> Result<(), String> {
     if counter(&doc, "handshake_p99_ticks")? < counter(&doc, "handshake_p50_ticks")? {
         return Err("handshake p99 < p50".to_string());
     }
-    let Some(Json::Arr(cdf)) = doc.get("slo_cdf") else {
-        return Err("missing or non-array slo_cdf".to_string());
-    };
-    if cdf.is_empty() {
-        return Err("slo_cdf is empty".to_string());
-    }
-    let mut prev_bound = 0.0f64;
-    let mut prev_frac = -1.0f64;
-    for row in cdf {
-        let bound = counter(row, "tick_bound")?;
-        let frac = counter(row, "fraction")?;
-        if bound <= prev_bound {
-            return Err("slo_cdf tick bounds must be strictly increasing".to_string());
-        }
-        if !(0.0..=1.0).contains(&frac) {
-            return Err(format!("slo_cdf fraction {frac} out of [0, 1]"));
-        }
-        if frac < prev_frac {
-            return Err("slo_cdf fractions must be non-decreasing".to_string());
-        }
-        prev_bound = bound;
-        prev_frac = frac;
-    }
-    Ok(())
+    check_slo_cdf(&doc, "tick_bound", "tick bounds")
 }
 
 #[cfg(test)]
@@ -251,6 +160,7 @@ mod tests {
     use super::*;
     use crate::campaign::{run, ChaosConfig};
     use crate::storm::StormConfig;
+    use hypertee_bench::report::without_each_key;
 
     fn tiny_serving_outcome() -> ChaosOutcome {
         let mut cfg = ChaosConfig::serving_smoke(0x5e71);
@@ -278,7 +188,13 @@ mod tests {
     fn serving_validator_rejects_accepted_attacks() {
         let out = tiny_serving_outcome();
         let text = render_serving_report(&out);
-        for key in MUST_BE_ZERO {
+        let pinned: Vec<_> = FIELDS
+            .iter()
+            .filter(|(_, kind, _)| matches!(kind, MustBeZero(_)))
+            .map(|(key, _, _)| key)
+            .collect();
+        assert_eq!(pinned.len(), 5);
+        for key in pinned {
             let broken = text.replace(&format!("\"{key}\": 0,"), &format!("\"{key}\": 1,"));
             let err = validate_serving(&broken).unwrap_err();
             assert!(err.contains(key), "want {key} in error, got: {err}");
@@ -292,9 +208,13 @@ mod tests {
         let text = render_serving_report(&out);
         let broken = text.replace("\"suite\": \"hypertee-serving\"", "\"suite\": \"nope\"");
         assert!(validate_serving(&broken).unwrap_err().contains("suite"));
-        let broken = text.replace("  \"reattestations\":", "  \"reattestations_zzz\":");
-        assert!(validate_serving(&broken)
-            .unwrap_err()
-            .contains("reattestations"));
+        // Drift guard: deleting any key the renderer emits must fail the
+        // validator with an error that names the key.
+        let cases = without_each_key(&text);
+        assert_eq!(cases.len(), FIELDS.len() + 4, "header + table + slo_cdf");
+        for (key, broken) in cases {
+            let err = validate_serving(&broken).expect_err(&key);
+            assert!(err.contains(&key), "deleting '{key}' gave: {err}");
+        }
     }
 }

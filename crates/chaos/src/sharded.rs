@@ -20,6 +20,7 @@
 //! is the ok-weighted average of the per-shard CDFs.
 
 use hypertee::shard::par_run;
+use hypertee_crypto::util::{fnv1a_words, FNV_OFFSET};
 use hypertee_sim::rng::derive_stream;
 
 use crate::campaign::{run, ChaosConfig, ChaosOutcome};
@@ -143,22 +144,14 @@ pub fn run_sharded(cfg: &ShardedChaosConfig) -> ShardedChaosOutcome {
     }
 }
 
-/// FNV-1a fold (same constants as the campaign's event-stream fold).
-fn fold(hash: &mut u64, vals: &[u64]) {
-    for v in vals {
-        *hash ^= *v;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 /// Merges per-shard outcomes in stable shard-id order.
 fn merge(base: &ChaosConfig, shards: &[ChaosOutcome]) -> ChaosOutcome {
     // The merged hash folds (shard id, shard trace hash) from the master
     // seed's basis: each shard hash already folds that shard's full event
     // stream, so the merged hash commits to every event of every shard.
-    let mut hash = 0xcbf2_9ce4_8422_2325u64 ^ base.seed;
+    let mut hash = FNV_OFFSET ^ base.seed;
     for (i, s) in shards.iter().enumerate() {
-        fold(&mut hash, &[i as u64, s.trace_hash]);
+        fnv1a_words(&mut hash, &[i as u64, s.trace_hash]);
     }
 
     let first_audit_error = shards.iter().find_map(|s| s.first_audit_error.clone());

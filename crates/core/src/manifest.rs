@@ -11,7 +11,6 @@ use hypertee_ems::control::EnclaveConfig;
 
 /// A parsed enclave manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EnclaveManifest {
     /// Optional display name.
     pub name: String,

@@ -1,5 +1,7 @@
-//! Small helpers shared across the crate: hex encoding and constant-time
-//! comparison.
+//! Small helpers shared across the workspace: hex encoding, constant-time
+//! comparison, and the one FNV-1a-64 fold behind every non-cryptographic
+//! digest (message checksums, per-site fault streams, campaign trace
+//! hashes).
 
 /// Encodes bytes as a lowercase hex string.
 ///
@@ -56,6 +58,30 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     acc == 0
 }
 
+/// FNV-1a-64 offset basis: the initial value of every fold.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into an FNV-1a-64 accumulator, one byte per step.
+#[inline]
+pub fn fnv1a_bytes(hash: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *hash ^= u64::from(*b);
+        *hash = hash.wrapping_mul(FNV_PRIME);
+    }
+}
+
+/// Folds whole `u64` words into an FNV-1a-64 accumulator, one word per
+/// step (the trace-hash variant: each event field is one xor-multiply).
+#[inline]
+pub fn fnv1a_words(hash: &mut u64, words: &[u64]) {
+    for w in words {
+        *hash ^= *w;
+        *hash = hash.wrapping_mul(FNV_PRIME);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,5 +104,28 @@ mod tests {
         assert!(!ct_eq(b"same", b"sane"));
         assert!(!ct_eq(b"short", b"longer"));
         assert!(ct_eq(b"", b""));
+    }
+
+    #[test]
+    fn fnv1a_bytes_matches_published_vectors() {
+        for (input, want) in [
+            (&b""[..], 0xcbf2_9ce4_8422_2325u64),
+            (b"a", 0xaf63_dc4c_8601_ec8c),
+            (b"foobar", 0x8594_4171_f739_67e8),
+        ] {
+            let mut h = FNV_OFFSET;
+            fnv1a_bytes(&mut h, input);
+            assert_eq!(h, want, "FNV-1a-64({input:?})");
+        }
+    }
+
+    #[test]
+    fn fnv1a_words_pins_the_trace_fold() {
+        // The campaign trace hash seeds with `FNV_OFFSET ^ seed` and folds
+        // event tuples word by word; pin one tuple so the committed
+        // trace hashes cannot drift silently.
+        let mut h = FNV_OFFSET ^ 0xC4A0_5EED;
+        fnv1a_words(&mut h, &[1, 7, 3, 2]);
+        assert_eq!(h, 0x3f24_5735_f3d6_8665);
     }
 }

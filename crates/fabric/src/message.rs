@@ -1,5 +1,6 @@
 //! Primitive requests and responses, and Table II's privilege map.
 
+use hypertee_crypto::util::{fnv1a_bytes, FNV_OFFSET};
 use hypertee_mem::ownership::EnclaveId;
 
 /// CS privilege level of a primitive caller.
@@ -230,25 +231,13 @@ impl Response {
 
     fn checksum(&self) -> u64 {
         // FNV-1a over the wire image: req_id, status code, vals, payload.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for b in self.req_id.to_le_bytes() {
-            eat(b);
-        }
-        for b in self.status.code().to_le_bytes() {
-            eat(b);
-        }
+        let mut h = FNV_OFFSET;
+        fnv1a_bytes(&mut h, &self.req_id.to_le_bytes());
+        fnv1a_bytes(&mut h, &self.status.code().to_le_bytes());
         for v in &self.vals {
-            for b in v.to_le_bytes() {
-                eat(b);
-            }
+            fnv1a_bytes(&mut h, &v.to_le_bytes());
         }
-        for b in &self.payload {
-            eat(*b);
-        }
+        fnv1a_bytes(&mut h, &self.payload);
         h
     }
 

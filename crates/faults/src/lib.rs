@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 use hypertee_crypto::chacha::ChaChaRng;
+use hypertee_crypto::util::{fnv1a_bytes, FNV_OFFSET};
 
 /// Every fault the harness can inject, across fabric and EMS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -362,11 +363,8 @@ impl FaultPlan {
     /// such as `"mailbox"`, `"ems"`, or `"dma"`.
     pub fn injector(&self, site: &str) -> FaultInjector {
         // FNV-1a over the site label decorrelates per-site streams.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in site.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let mut h = FNV_OFFSET;
+        fnv1a_bytes(&mut h, site.as_bytes());
         FaultInjector {
             armed: true,
             rng: ChaChaRng::from_u64(self.seed ^ h),

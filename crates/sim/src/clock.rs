@@ -6,7 +6,6 @@
 
 /// A duration or timestamp in CS-core cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cycles(pub u64);
 
 impl Cycles {
@@ -60,7 +59,6 @@ impl core::fmt::Display for Cycles {
 
 /// The two clock domains of the SoC.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ClockDomains {
     /// CS core frequency in GHz (paper: 2.5).
     pub cs_ghz: f64,

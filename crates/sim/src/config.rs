@@ -2,7 +2,6 @@
 
 /// Pipeline organisation of a core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PipelineKind {
     /// In-order single-issue pipeline (Rocket-class).
     InOrder,
@@ -12,7 +11,6 @@ pub enum PipelineKind {
 
 /// Branch-predictor class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BranchPredictor {
     /// GShare predictor (weak EMS core).
     GShare,
@@ -22,7 +20,6 @@ pub enum BranchPredictor {
 
 /// A core configuration row from Table III.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CoreConfig {
     /// Human-readable name ("CS", "EMS-weak", ...).
     pub name: String,
@@ -147,7 +144,6 @@ impl CoreConfig {
 
 /// EMS cluster choice (count × core class), as explored in Fig. 6.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EmsCluster {
     /// Number of EMS cores.
     pub cores: u32,
@@ -191,7 +187,6 @@ impl EmsCluster {
 
 /// Whole-SoC configuration.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SocConfig {
     /// Number of CS cores.
     pub cs_cores: u32,

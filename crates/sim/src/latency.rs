@@ -10,7 +10,6 @@ use crate::clock::ClockDomains;
 
 /// Cycle-cost calibration table.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyBook {
     /// Clock domains used for EMS→CS conversions.
     pub clocks: ClockDomains,
@@ -81,8 +80,6 @@ pub struct LatencyBook {
     pub engine_sha_bytes_per_cycle: f64,
     /// Engine signature cost (RSA sign: 123 ops/s → cycles per op).
     pub engine_sign_cycles: f64,
-    /// Engine verify cost (10 K ops/s).
-    pub engine_verify_cycles: f64,
     /// Software SHA-256 on the EMS core, cycles per byte (EMS cycles).
     /// Anchor: Table IV, EMEAS share 7.8% → 0.10% with the engine (~78×).
     pub sw_sha_cpb_ems: f64,
@@ -129,7 +126,6 @@ impl Default for LatencyBook {
             engine_aes_bytes_per_cycle: 1.24e9 / 8.0 / 2.5e9,
             engine_sha_bytes_per_cycle: 16.1e9 / 8.0 / 2.5e9,
             engine_sign_cycles: 2.5e9 / 123.0,
-            engine_verify_cycles: 2.5e9 / 10_000.0,
             sw_sha_cpb_ems: 29.0,
             sw_aes_cpb_ems: 60.0,
             sw_sign_ems_cycles: 2.5e9 / 123.0 / (2.5 / 0.75) * 1.35,
@@ -231,6 +227,19 @@ mod tests {
         assert!((book.engine_sha_bytes_per_cycle - 0.805).abs() < 1e-9);
         // 123 RSA signs per second.
         assert!((book.engine_sign_cycles - 20_325_203.25).abs() < 1.0);
+        // The engine always beats software hashing.
+        for n in [4096u64, 1 << 20, 16 << 20] {
+            assert!(
+                book.measure_cost(n, true) < book.measure_cost(n, false),
+                "engine must accelerate SHA at {n} bytes"
+            );
+        }
+        // 1 MiB at 0.062 B/cycle ≈ 16.9M cycles.
+        let aes = book.ems_aes_cost(1 << 20, true);
+        assert!((aes - (1u64 << 20) as f64 / 0.062).abs() < 1.0);
+        // Signing is expensive either way, and dearer in software.
+        assert!(book.sign_cost(true) > 1e7);
+        assert!(book.sign_cost(false) > book.sign_cost(true));
     }
 
     #[test]

@@ -10,15 +10,16 @@
 //! * [`config`] — the Table III core configurations (CS 8-wide OoO; EMS
 //!   *weak* / *medium* / *strong*) and SoC-level configuration.
 //! * [`latency`] — the calibration book: every cycle cost the models charge,
-//!   each annotated with the paper number it was anchored to.
+//!   each annotated with the paper number it was anchored to, including the
+//!   EMS crypto engine (Table III rates) and its software fallback (Table IV).
 //! * [`engine`] — a small generic discrete-event kernel.
 //! * [`queueing`] — the multi-server primitive-request queue used for the
 //!   Fig. 6 SLO study.
 //! * [`perf`] — the analytic core-performance model that turns workload
 //!   profiles plus an execution environment into cycle counts (Figs. 7–11).
-//! * [`crypto_engine`] — timing for the EMS crypto engine (Table III rates)
-//!   and its software fallback (Table IV).
 //! * [`area`] — the ASIC area model behind Table V.
+//! * [`noc`] — a 2D-mesh XY-routed NoC hop model.
+//! * [`rng`] — splitmix64 streams for seeded, shard-decorrelated randomness.
 //! * [`stats`] — summary statistics and percentile helpers.
 //!
 //! Functional behaviour (real page tables, real encryption) lives in the
@@ -28,10 +29,8 @@
 #![warn(missing_docs)]
 
 pub mod area;
-pub mod cache;
 pub mod clock;
 pub mod config;
-pub mod crypto_engine;
 pub mod engine;
 pub mod latency;
 pub mod noc;

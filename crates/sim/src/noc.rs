@@ -14,7 +14,6 @@
 
 /// A mesh coordinate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Tile {
     /// Column.
     pub x: u32,
@@ -24,7 +23,6 @@ pub struct Tile {
 
 /// A 2D mesh NoC with XY (dimension-ordered) routing.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mesh {
     /// Columns.
     pub width: u32,
@@ -36,7 +34,6 @@ pub struct Mesh {
     pub endpoint_cycles: f64,
     /// Per-link traversal counters, indexed by (from-tile linear index,
     /// direction); used for utilisation reporting.
-    #[cfg_attr(feature = "serde", serde(skip))]
     link_use: std::collections::HashMap<(u32, u32, u8), u64>,
 }
 

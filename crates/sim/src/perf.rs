@@ -12,7 +12,6 @@ use crate::latency::LatencyBook;
 
 /// Description of one benchmark workload.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadProfile {
     /// Benchmark name as the paper prints it.
     pub name: String,
@@ -85,7 +84,7 @@ pub fn primitive_cycles(
     let allocs = profile.ealloc_calls * book.ealloc(profile.ealloc_bytes as u64);
     // Attestation (EATTEST) is once-per-launch and amortised out of the
     // paper's per-run shares; price it separately with
-    // `CryptoOp::Sign` when a flow actually attests.
+    // `LatencyBook::sign_cost` when a flow actually attests.
     let others = book.lifecycle_fixed + eadd + allocs;
     PrimitiveBreakdown { emeas, others }
 }

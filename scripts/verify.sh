@@ -43,6 +43,8 @@ cargo run --release --offline -p hypertee-bench --bin bench_report -- --smoke \
     --out target/BENCH_perf_smoke.json > /dev/null
 cargo run --release --offline -p hypertee-bench --bin bench_report -- \
     --check target/BENCH_perf_smoke.json
+cargo run --release --offline -p hypertee-bench --bin bench_report -- \
+    --check BENCH_perf.json
 
 echo "==> pump equivalence smoke (event scheduler vs scan oracle, fixed seeds)"
 cargo run --release --offline --example pump_smoke
@@ -52,16 +54,18 @@ cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- --smoke 
     --out target/BENCH_chaos_smoke.json > /dev/null
 cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- \
     --check target/BENCH_chaos_smoke.json
+cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- \
+    --check BENCH_chaos.json
 
 echo "==> scan-oracle campaign replay (--ref-pump, byte-compared against the event pump)"
 cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- --smoke --ref-pump \
     --out target/BENCH_chaos_smoke_refpump.json > /dev/null
 cmp target/BENCH_chaos_smoke.json target/BENCH_chaos_smoke_refpump.json
 
-echo "==> committed chaos replay (full fleet campaign, trace hash vs BENCH_chaos.json)"
+echo "==> committed chaos replay (full fleet campaign, byte-compared against BENCH_chaos.json)"
 cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- \
     --out target/BENCH_chaos_replay.json > /dev/null
-cmp <(grep '"trace_hash"' target/BENCH_chaos_replay.json) <(grep '"trace_hash"' BENCH_chaos.json)
+cmp target/BENCH_chaos_replay.json BENCH_chaos.json
 
 echo "==> service facade smoke (boot, fail closed, attest, crash, re-attest)"
 cargo run --release --offline --example service_quickstart > /dev/null

@@ -7,6 +7,7 @@
 use hypertee_repro::chaos::campaign::ChaosConfig;
 use hypertee_repro::chaos::report::render_sharded_report;
 use hypertee_repro::chaos::sharded::{run_sharded, shard_config, ShardedChaosConfig};
+use hypertee_repro::crypto::util::{fnv1a_words, FNV_OFFSET};
 use hypertee_repro::hypertee::machine::MachineError;
 use hypertee_repro::hypertee::shard::{
     assert_send, par_run, BarrierReport, ShardDomain, ShardPumpReport, ShardSpec, ShardedMachine,
@@ -114,18 +115,17 @@ fn lockstep_campaign_fanout_is_identical_at_every_thread_width() {
             let commands = generate(seed, 32, 4);
             run_campaign(&Campaign::new(seed), &commands)
         });
-        let mut hash = 0xcbf2_9ce4_8422_2325u64;
-        let mut fold_one = |v: u64| {
-            hash ^= v;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        let mut hash = FNV_OFFSET;
         for o in &outcomes {
             assert!(!o.diverged(), "model diverged: {:?}", o.divergence);
-            fold_one(o.executed as u64);
-            fold_one(o.completions as u64);
-            fold_one(o.ok_responses as u64);
-            fold_one(o.rejections as u64);
-            fold_one(o.checkpoints as u64);
+            let row = [
+                o.executed,
+                o.completions,
+                o.ok_responses,
+                o.rejections,
+                o.checkpoints,
+            ];
+            fnv1a_words(&mut hash, &row.map(|v| v as u64));
         }
         hash
     };
