@@ -222,11 +222,16 @@ pub fn finish_run(
 mod tests {
     use super::*;
     use crate::campaign::{run, ChaosConfig};
+    use crate::sharded::{run_sharded, ShardedChaosConfig};
     use crate::traffic::TrafficConfig;
     use hypertee_bench::report::without_each_key;
 
     fn tiny_outcome() -> ChaosOutcome {
-        run(&ChaosConfig {
+        run(&tiny_outcome_config())
+    }
+
+    fn tiny_outcome_config() -> ChaosConfig {
+        ChaosConfig {
             seed: 0x7e57,
             label: "tiny",
             traffic: TrafficConfig {
@@ -249,7 +254,7 @@ mod tests {
             max_ticks: 60_000,
             storm: None,
             ref_pump: false,
-        })
+        }
     }
 
     #[test]
@@ -282,6 +287,50 @@ mod tests {
         for (key, broken) in cases {
             let err = validate(&broken).expect_err(&key);
             assert!(err.contains(&key), "deleting '{key}' gave: {err}");
+        }
+    }
+
+    #[test]
+    fn validator_rejects_missing_sharding_key() {
+        let out = run_sharded(&ShardedChaosConfig {
+            base: tiny_outcome_config(),
+            shards: 2,
+            threads: 1,
+        });
+        let text = render_sharded_report(&out);
+        validate(&text).expect("fresh sharded report must validate");
+        // Drift guard for the `sharding` section: deleting the shard count,
+        // the speedup, or any per-shard key must fail the validator with an
+        // error that names the key.
+        for key in ["shards", "simulated_speedup"] {
+            let line = text
+                .lines()
+                .find(|l| l.trim_start().starts_with(&format!("\"{key}\":")))
+                .expect("sharding entry");
+            let broken = text.replace(&format!("{line}\n"), "");
+            let err = validate(&broken).expect_err(key);
+            assert!(err.contains(key), "deleting '{key}' gave: {err}");
+        }
+        let row = text
+            .lines()
+            .find(|l| l.contains("{ \"shard\": 1,"))
+            .expect("per-shard row 1");
+        let indent = &row[..row.find('{').expect("row opens")];
+        let tail = if row.ends_with(',') { "," } else { "" };
+        let entries = row
+            .trim()
+            .trim_end_matches(',')
+            .trim_start_matches("{ ")
+            .trim_end_matches(" }");
+        for key in ["shard", "seed", "trace_hash", "requests", "clock_cycles"] {
+            let kept: Vec<&str> = entries
+                .split(", ")
+                .filter(|e| !e.starts_with(&format!("\"{key}\":")))
+                .collect();
+            let cut = format!("{indent}{{ {} }}{tail}", kept.join(", "));
+            let broken = text.replace(row, &cut);
+            let err = validate(&broken).expect_err(key);
+            assert!(err.contains(key), "deleting per-shard '{key}' gave: {err}");
         }
     }
 }

@@ -3,7 +3,7 @@
 use hypertee_emcall::{EmCall, EmCallError, HartState};
 use hypertee_ems::boot::{provision_flash, secure_boot, BootError, BootReport};
 use hypertee_ems::keys::EFuse;
-use hypertee_ems::runtime::{Ems, EmsContext};
+use hypertee_ems::runtime::Ems;
 use hypertee_fabric::ihub::IHub;
 use hypertee_fabric::message::{Primitive, Response, Status};
 use hypertee_faults::{FaultPlan, FaultStats};
@@ -298,17 +298,6 @@ impl Machine {
     /// differential replay gates.
     pub fn set_scan_scheduler(&mut self, scan: bool) {
         self.scan_scheduler = scan;
-    }
-
-    /// Pumps the EMS service loop once (normally called inside
-    /// [`Machine::invoke`]).
-    pub fn pump_ems(&mut self) -> usize {
-        let mut ctx = EmsContext {
-            sys: &mut self.sys,
-            hub: &mut self.hub,
-            os_frames: &mut self.os,
-        };
-        self.ems.service(&mut ctx)
     }
 
     /// Crashes and warm-restarts the EMS firmware (a scripted

@@ -49,6 +49,7 @@ use crate::machine::{Machine, MachineError, MachineResult};
 use crate::timerwheel::TimerWheel;
 use hypertee_ems::runtime::EmsContext;
 use hypertee_ems::scheduler::{EmsScheduler, ServiceRecord};
+use hypertee_fabric::mailbox::RequestTicket;
 use hypertee_fabric::message::{Primitive, Privilege, Response, Status};
 use hypertee_sim::clock::Cycles;
 use hypertee_sim::config::CoreConfig;
@@ -110,16 +111,6 @@ pub struct PipelineStats {
     /// Calls expired by the
     /// [`crate::machine::DegradePolicy::deadline`] watchdog.
     pub expired: u64,
-    /// Stale duplicate responses currently quarantined in the mailbox.
-    pub stale_duplicates: usize,
-    /// MKTME writes that took the full-line fast path (no RMW fetch-decrypt).
-    pub mktme_full_line_writes: u64,
-    /// AES-CTR keystream blocks produced in batched multi-line spans.
-    pub mktme_keystream_blocks_batched: u64,
-    /// Page-walk-cache hits summed over all harts.
-    pub ptw_cache_hits: u64,
-    /// Page-walk-cache misses summed over all harts.
-    pub ptw_cache_misses: u64,
 }
 
 /// One in-flight request's state machine.
@@ -133,7 +124,9 @@ pub struct PipelineStats {
 #[derive(Debug)]
 struct InFlight {
     call: PendingCall,
-    req_id: u64,
+    /// The mailbox ticket of the current submission: the only binding
+    /// between this call and its response. Dropping the entry retires it.
+    ticket: RequestTicket,
     primitive: Primitive,
     args: Vec<u64>,
     payload: Vec<u8>,
@@ -340,22 +333,20 @@ impl Machine {
     pub fn submit_as(
         &mut self,
         hart_id: usize,
-        privilege: hypertee_fabric::message::Privilege,
+        privilege: Privilege,
         primitive: Primitive,
         args: Vec<u64>,
         payload: Vec<u8>,
     ) -> MachineResult<PendingCall> {
-        let old = self.harts[hart_id].privilege;
-        self.harts[hart_id].privilege = privilege;
-        let out = self.submit(hart_id, primitive, args, payload);
-        self.harts[hart_id].privilege = old;
-        out
+        self.with_privilege(hart_id, privilege, |m| {
+            m.submit(hart_id, primitive, args, payload)
+        })
     }
 
     /// Submits one primitive from `hart_id` into the pipeline and returns a
-    /// handle. The hart may hold any number of calls in flight; responses
-    /// are bound to the submitting hart through EMCall's per-hart ticket
-    /// table. Drive the machine with [`Machine::pump`] and collect with
+    /// handle. The hart may hold any number of calls in flight; each call's
+    /// in-flight entry holds the mailbox ticket that binds its response.
+    /// Drive the machine with [`Machine::pump`] and collect with
     /// [`Machine::take_completion`].
     ///
     /// # Errors
@@ -378,16 +369,13 @@ impl Machine {
                 return Err(MachineError::Backpressure);
             }
         }
-        let req_id = {
-            let hart = &self.harts[hart_id];
-            self.emcall.submit_tracked(
-                hart,
-                &mut self.hub,
-                primitive,
-                args.clone(),
-                payload.clone(),
-            )?
-        };
+        let ticket = self.emcall.submit(
+            &self.harts[hart_id],
+            &mut self.hub,
+            primitive,
+            args.clone(),
+            payload.clone(),
+        )?;
         let call = PendingCall {
             id: self.pipeline.next_call,
             hart_id,
@@ -402,12 +390,12 @@ impl Machine {
         if let Some(key) = deadline_key {
             self.pipeline.deadline_index.insert((hart_id, key, call.id));
         }
-        self.pipeline.req_index.insert(req_id, call.id);
+        self.pipeline.req_index.insert(ticket.req_id(), call.id);
         self.pipeline.in_flight.insert(
             call.id,
             InFlight {
                 call,
-                req_id,
+                ticket,
                 primitive,
                 args,
                 payload,
@@ -626,17 +614,15 @@ impl Machine {
             return Step::Idle; // completed earlier this round (stale wake)
         };
         let hart_id = inf.call.hart_id;
-        let req_id = inf.req_id;
+        let req_id = inf.ticket.req_id();
         // Deadline watchdog first: a call that outlived its total lifetime
         // budget is expired terminally — even if a response is waiting —
-        // with no further retries; the ticket is retired so a late response
-        // is quarantined rather than delivered.
+        // with no further retries; dropping the entry retires the ticket, so
+        // a late response is quarantined rather than delivered.
         if let Some(deadline) = self.degrade.deadline {
             if self.hart_clock[hart_id] - inf.issued_at > deadline {
                 let inf = self.pipeline.in_flight.remove(&id).expect("checked above");
-                self.emcall
-                    .retire_tracked(self.harts[hart_id].hart_id, inf.req_id);
-                self.pipeline.service_done.remove(&inf.req_id);
+                self.pipeline.service_done.remove(&req_id);
                 self.pipeline.expired += 1;
                 self.finish_call(inf, Err(MachineError::DeadlineExpired));
                 return Step::Completed(hart_id);
@@ -647,8 +633,7 @@ impl Machine {
         // pump flavours. (A corrupt packet is consumed here and discarded
         // as a miss — the call falls through to the loss evaluation.)
         let polled = if self.hub.mailbox.has_response(req_id) {
-            self.emcall
-                .poll_tracked(&mut self.hub, self.harts[hart_id].hart_id, req_id)
+            self.emcall.poll(&mut self.hub, &inf.ticket)
         } else {
             None
         };
@@ -687,30 +672,24 @@ impl Machine {
                 let backoff = self.backoff(inf.attempt, id);
                 let round_trip = self.book.mailbox_round_trip();
                 self.charge_hart(hart_id, Cycles((round_trip + backoff).round() as u64));
-                let resubmitted = {
-                    let old = self.harts[hart_id].privilege;
-                    self.harts[hart_id].privilege = inf.privilege;
-                    let result = self.emcall.submit_tracked(
-                        &self.harts[hart_id],
-                        &mut self.hub,
-                        inf.primitive,
-                        inf.args.clone(),
-                        inf.payload.clone(),
-                    );
-                    self.harts[hart_id].privilege = old;
-                    result
-                };
+                let resubmitted = self.with_privilege(hart_id, inf.privilege, |m| {
+                    let hart = &m.harts[hart_id];
+                    let (args, payload) = (inf.args.clone(), inf.payload.clone());
+                    m.emcall
+                        .submit(hart, &mut m.hub, inf.primitive, args, payload)
+                        .map_err(MachineError::Gate)
+                });
                 match resubmitted {
-                    Ok(new_req_id) => {
+                    Ok(ticket) => {
                         self.pipeline.req_index.remove(&req_id);
-                        self.pipeline.req_index.insert(new_req_id, id);
-                        inf.req_id = new_req_id;
+                        self.pipeline.req_index.insert(ticket.req_id(), id);
+                        inf.ticket = ticket;
                         self.rearm_resubmission(&mut inf, hart_id);
                         self.pipeline.in_flight.insert(id, inf);
                         Step::Progress(hart_id)
                     }
                     Err(e) => {
-                        self.finish_call(inf, Err(MachineError::Gate(e)));
+                        self.finish_call(inf, Err(e));
                         Step::Completed(hart_id)
                     }
                 }
@@ -727,9 +706,7 @@ impl Machine {
                 let mut inf = self.pipeline.in_flight.remove(&id).expect("checked above");
                 inf.attempt += 1;
                 if inf.attempt > self.retry.max_retries {
-                    self.emcall
-                        .retire_tracked(self.harts[hart_id].hart_id, inf.req_id);
-                    self.pipeline.service_done.remove(&inf.req_id);
+                    self.pipeline.service_done.remove(&req_id);
                     self.pipeline.timeouts += 1;
                     self.finish_call(inf, Err(MachineError::Timeout));
                     return Step::Completed(hart_id);
@@ -747,31 +724,22 @@ impl Machine {
                 // Resubmit under the same req_id: if EMS in fact completed
                 // the request, its response cache replays the completion
                 // instead of re-executing the primitive.
-                let resubmitted = {
-                    let old = self.harts[hart_id].privilege;
-                    self.harts[hart_id].privilege = inf.privilege;
-                    let result = self.emcall.resubmit_tracked(
-                        &self.harts[hart_id],
-                        &mut self.hub,
-                        inf.req_id,
-                        inf.primitive,
-                        inf.args.clone(),
-                        inf.payload.clone(),
-                    );
-                    self.harts[hart_id].privilege = old;
-                    result
-                };
+                let resubmitted = self.with_privilege(hart_id, inf.privilege, |m| {
+                    let hart = &m.harts[hart_id];
+                    let (args, payload) = (inf.args.clone(), inf.payload.clone());
+                    m.emcall
+                        .resubmit(hart, &mut m.hub, &inf.ticket, inf.primitive, args, payload)
+                        .map_err(MachineError::Gate)
+                });
                 match resubmitted {
                     Ok(()) => {
-                        self.pipeline.service_done.remove(&inf.req_id);
+                        self.pipeline.service_done.remove(&req_id);
                         self.rearm_resubmission(&mut inf, hart_id);
                         self.pipeline.in_flight.insert(id, inf);
                         Step::Progress(hart_id)
                     }
                     Err(e) => {
-                        self.emcall
-                            .retire_tracked(self.harts[hart_id].hart_id, inf.req_id);
-                        self.finish_call(inf, Err(MachineError::Gate(e)));
+                        self.finish_call(inf, Err(e));
                         Step::Completed(hart_id)
                     }
                 }
@@ -821,7 +789,7 @@ impl Machine {
     /// deadline-index entries.
     fn finish_call(&mut self, inf: InFlight, result: MachineResult<Response>) {
         let hart_id = inf.call.hart_id;
-        self.pipeline.req_index.remove(&inf.req_id);
+        self.pipeline.req_index.remove(&inf.ticket.req_id());
         if let Some(key) = inf.deadline_key {
             self.pipeline
                 .deadline_index
@@ -868,15 +836,6 @@ impl Machine {
             timeouts: self.pipeline.timeouts,
             shed: self.pipeline.shed,
             expired: self.pipeline.expired,
-            stale_duplicates: self.hub.mailbox.stale_duplicates(),
-            mktme_full_line_writes: self.sys.engine.stats.full_line_writes,
-            mktme_keystream_blocks_batched: self.sys.engine.stats.keystream_blocks_batched,
-            ptw_cache_hits: self.harts.iter().map(|h| h.mmu.walk_cache.stats.hits).sum(),
-            ptw_cache_misses: self
-                .harts
-                .iter()
-                .map(|h| h.mmu.walk_cache.stats.misses)
-                .sum(),
         }
     }
 }

@@ -32,7 +32,10 @@ impl ShmPerm {
 }
 
 impl Machine {
-    fn with_privilege<R>(
+    /// Runs `f` with `hart_id` temporarily at `privilege`, restoring the
+    /// hart's own privilege afterwards. EMCall stamps the privilege into a
+    /// request at (re)submission, so the override never outlives `f`.
+    pub(crate) fn with_privilege<R>(
         &mut self,
         hart_id: usize,
         privilege: Privilege,

@@ -8,8 +8,9 @@
 //!
 //! * a [`ShardDomain`] is a fully self-contained sub-machine: a subset of
 //!   CS harts with their per-hart clocks and PTW walk caches, a private
-//!   slice of physical memory ([`MemPartition`]), its own EMCall ticket
-//!   tables, and its own EMS lane with its own scheduler stream;
+//!   slice of physical memory ([`MemPartition`]), its own EMCall gate and
+//!   pipeline (which holds every in-flight mailbox ticket), and its own EMS
+//!   lane with its own scheduler stream;
 //! * a [`ShardedMachine`] owns a *fixed* set of domains plus the validated
 //!   [`PartitionMap`]; construction rejects overlapping or mis-sized
 //!   memory slices outright;
@@ -89,7 +90,7 @@ pub struct ShardDomain {
     pub seed: u64,
     /// The shard's slice of the global frame space.
     pub partition: MemPartition,
-    /// The sub-machine: this shard's harts, memory, EMCall tickets, EMS.
+    /// The sub-machine: this shard's harts, memory, EMCall gate, pipeline, EMS.
     pub machine: Machine,
     /// Campaign-level stream for this shard (backoff jitter inside the
     /// machine derives from `seed` on its own; this stream is for drivers).
@@ -301,7 +302,7 @@ impl ShardedMachine {
         T: Send,
         F: Fn(&mut ShardDomain) -> T + Sync,
     {
-        par_run_mut(&mut self.domains, self.threads, |_, d| f(d))
+        par_run(self.domains.iter_mut().collect(), self.threads, |_, d| f(d))
     }
 
     /// One pump barrier: every domain pumps its own pipeline one scheduling
@@ -356,11 +357,6 @@ impl ShardedMachine {
             merged.timeouts += s.timeouts;
             merged.shed += s.shed;
             merged.expired += s.expired;
-            merged.stale_duplicates += s.stale_duplicates;
-            merged.mktme_full_line_writes += s.mktme_full_line_writes;
-            merged.mktme_keystream_blocks_batched += s.mktme_keystream_blocks_batched;
-            merged.ptw_cache_hits += s.ptw_cache_hits;
-            merged.ptw_cache_misses += s.ptw_cache_misses;
         }
         merged
     }
@@ -405,8 +401,9 @@ impl ShardedMachine {
 /// Runs `f(index, item)` over owned `items` on a pool of `threads` scoped
 /// workers and returns the results *in item order*, independent of which
 /// worker ran what when. `threads <= 1` executes inline in order (the
-/// reference path). This is the generic engine campaign drivers build on;
-/// [`ShardedMachine::par_map`] is the borrowed-domain variant.
+/// reference path). Campaign drivers pass owned configs; [`ShardedMachine::
+/// par_map`] passes `&mut` domain borrows, so no domain is ever visible to
+/// two workers.
 pub fn par_run<I, T, F>(items: Vec<I>, threads: usize, f: F) -> Vec<T>
 where
     I: Send,
@@ -419,42 +416,6 @@ where
     }
     let n = indexed.len();
     let queue: Mutex<VecDeque<(usize, I)>> = Mutex::new(indexed.into_iter().collect());
-    let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
-    let workers = threads.min(n);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let next = queue.lock().expect("queue lock").pop_front();
-                let Some((i, item)) = next else { break };
-                let out = f(i, item);
-                results.lock().expect("result lock").push((i, out));
-            });
-        }
-    });
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    for (i, out) in results.into_inner().expect("result lock") {
-        slots[i] = Some(out);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every item produced a result"))
-        .collect()
-}
-
-/// [`par_run`] over mutable borrows: each worker takes exclusive `&mut`
-/// items off a shared queue, so no item is ever visible to two threads.
-fn par_run_mut<I, T, F>(items: &mut [I], threads: usize, f: F) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-    F: Fn(usize, &mut I) -> T + Sync,
-{
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter_mut().enumerate().map(|(i, d)| f(i, d)).collect();
-    }
-    let n = items.len();
-    let queue: Mutex<VecDeque<(usize, &mut I)>> =
-        Mutex::new(items.iter_mut().enumerate().collect());
     let results: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(n));
     let workers = threads.min(n);
     std::thread::scope(|s| {

@@ -220,6 +220,12 @@ impl InterruptMonitor {
 }
 
 /// The trusted call gate.
+///
+/// EMCall keeps no record of in-flight requests: the [`RequestTicket`]
+/// returned by [`EmCall::submit`] is the only binding between a request
+/// and its response, and whoever holds it (the pipeline's in-flight entry)
+/// is the only party that can resubmit or collect. Dropping the ticket
+/// retires the binding.
 #[derive(Debug, Default)]
 pub struct EmCall {
     /// Counters.
@@ -227,13 +233,6 @@ pub struct EmCall {
     /// Obfuscation state: a deterministic counter that staggers poll timing
     /// so response-latency observation is noisy (§III-C).
     obf_state: u64,
-    /// Per-hart table of outstanding request tickets, keyed by
-    /// `(hart_id, req_id)`. [`RequestTicket`] is deliberately non-clonable
-    /// (one request, one collector); parking tickets here lets every hart
-    /// hold several requests in flight at once while the exclusive-binding
-    /// property survives — a ticket is only ever handed back to the mailbox
-    /// on behalf of the hart that submitted it.
-    tickets: std::collections::BTreeMap<(u32, u64), RequestTicket>,
 }
 
 impl EmCall {
@@ -242,9 +241,40 @@ impl EmCall {
         EmCall::default()
     }
 
-    /// Assembles and submits a primitive request on behalf of the software
-    /// running on `hart`. The caller identity is taken from the hart's
-    /// privilege register and current-enclave state — never from arguments.
+    /// The gate proper: blocks cross-privilege invocations and assembles
+    /// the request with the caller identity taken from the hart's privilege
+    /// register and current-enclave state — never from arguments.
+    fn gate(
+        &mut self,
+        hart: &HartState,
+        primitive: Primitive,
+        args: Vec<u64>,
+        payload: Vec<u8>,
+    ) -> Result<Request, EmCallError> {
+        let required = primitive.required_privilege();
+        if hart.privilege != required {
+            self.stats.blocked += 1;
+            return Err(EmCallError::CrossPrivilege {
+                required,
+                actual: hart.privilege,
+            });
+        }
+        self.stats.forwarded += 1;
+        Ok(Request {
+            req_id: 0,
+            primitive,
+            caller: CallerIdentity {
+                privilege: hart.privilege,
+                enclave: hart.current_enclave,
+            },
+            args,
+            payload,
+        })
+    }
+
+    /// Gates and submits a primitive request on behalf of the software
+    /// running on `hart`, returning the ticket that alone can collect the
+    /// response. A hart may hold any number of tickets at once.
     ///
     /// # Errors
     ///
@@ -258,34 +288,15 @@ impl EmCall {
         args: Vec<u64>,
         payload: Vec<u8>,
     ) -> Result<RequestTicket, EmCallError> {
-        let required = primitive.required_privilege();
-        if hart.privilege != required {
-            self.stats.blocked += 1;
-            return Err(EmCallError::CrossPrivilege {
-                required,
-                actual: hart.privilege,
-            });
-        }
-        let caller = CallerIdentity {
-            privilege: hart.privilege,
-            enclave: hart.current_enclave,
-        };
-        let request = Request {
-            req_id: 0,
-            primitive,
-            caller,
-            args,
-            payload,
-        };
-        self.stats.forwarded += 1;
+        let request = self.gate(hart, primitive, args, payload)?;
         Ok(hub.mailbox.submit(request))
     }
 
     /// Resubmits a primitive under the `req_id` of an existing ticket after
-    /// the original round trip was lost (dropped packet, corrupt response)
-    /// or aborted mid-primitive. The same gate checks apply as on first
-    /// submission; reusing the `req_id` lets the EMS-side response cache
-    /// make the retry idempotent.
+    /// the original round trip was lost (dropped packet, corrupt response,
+    /// EMS crash). The same gate checks apply as on first submission;
+    /// reusing the `req_id` lets the EMS-side response cache make the retry
+    /// idempotent.
     ///
     /// # Errors
     ///
@@ -300,39 +311,16 @@ impl EmCall {
         args: Vec<u64>,
         payload: Vec<u8>,
     ) -> Result<(), EmCallError> {
-        let required = primitive.required_privilege();
-        if hart.privilege != required {
-            self.stats.blocked += 1;
-            return Err(EmCallError::CrossPrivilege {
-                required,
-                actual: hart.privilege,
-            });
-        }
-        let caller = CallerIdentity {
-            privilege: hart.privilege,
-            enclave: hart.current_enclave,
-        };
-        let request = Request {
-            req_id: 0,
-            primitive,
-            caller,
-            args,
-            payload,
-        };
-        self.stats.forwarded += 1;
+        let request = self.gate(hart, primitive, args, payload)?;
         self.stats.resubmissions += 1;
         hub.mailbox.resubmit(ticket, request);
         Ok(())
     }
 
     /// Polls for the response bound to `ticket`, using the obfuscated
-    /// polling loop instead of CS interrupt handlers. Returns the response
-    /// once present, or the ticket for a later retry.
-    pub fn poll(
-        &mut self,
-        hub: &mut IHub,
-        ticket: RequestTicket,
-    ) -> Result<Response, RequestTicket> {
+    /// polling loop instead of CS interrupt handlers. `None` is a miss; the
+    /// holder keeps the ticket for a later poll or resubmission.
+    pub fn poll(&mut self, hub: &mut IHub, ticket: &RequestTicket) -> Option<Response> {
         // Timing obfuscation: consume a pseudo-random number of extra poll
         // slots so completion time does not directly expose EMS latency.
         self.obf_state = self
@@ -342,124 +330,6 @@ impl EmCall {
         let extra = (self.obf_state >> 60) & 0x7;
         self.stats.polls += 1 + extra;
         hub.mailbox.poll(ticket)
-    }
-
-    /// Like [`EmCall::submit`], but parks the ticket in the per-hart table
-    /// and returns the bound `req_id` instead, so the hart can keep issuing
-    /// further primitives while this one is in flight. Poll with
-    /// [`EmCall::poll_tracked`].
-    ///
-    /// # Errors
-    ///
-    /// [`EmCallError::CrossPrivilege`] when Table II forbids this primitive
-    /// at the hart's privilege level.
-    pub fn submit_tracked(
-        &mut self,
-        hart: &HartState,
-        hub: &mut IHub,
-        primitive: Primitive,
-        args: Vec<u64>,
-        payload: Vec<u8>,
-    ) -> Result<u64, EmCallError> {
-        let ticket = self.submit(hart, hub, primitive, args, payload)?;
-        let req_id = ticket.req_id();
-        self.tickets.insert((hart.hart_id, req_id), ticket);
-        Ok(req_id)
-    }
-
-    /// Polls for the response to a tracked request. On a miss the ticket
-    /// stays parked for the next poll; on a hit it is consumed and the
-    /// response returned. `None` also covers an unknown `(hart, req_id)`
-    /// pair — a foreign hart presenting someone else's `req_id` sees
-    /// exactly what it would see for a request that never existed.
-    pub fn poll_tracked(&mut self, hub: &mut IHub, hart_id: u32, req_id: u64) -> Option<Response> {
-        let ticket = self.tickets.remove(&(hart_id, req_id))?;
-        self.obf_state = self
-            .obf_state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1);
-        let extra = (self.obf_state >> 60) & 0x7;
-        self.stats.polls += 1 + extra;
-        match hub.mailbox.poll(ticket) {
-            Ok(resp) => Some(resp),
-            Err(t) => {
-                self.tickets.insert((hart_id, req_id), t);
-                None
-            }
-        }
-    }
-
-    /// Resubmits a tracked request under its existing `req_id` after the
-    /// round trip was declared lost. No-op if the ticket is not (or no
-    /// longer) parked for this hart. The gate checks apply as on first
-    /// submission.
-    ///
-    /// # Errors
-    ///
-    /// [`EmCallError::CrossPrivilege`] when Table II forbids this primitive
-    /// at the hart's privilege level.
-    pub fn resubmit_tracked(
-        &mut self,
-        hart: &HartState,
-        hub: &mut IHub,
-        req_id: u64,
-        primitive: Primitive,
-        args: Vec<u64>,
-        payload: Vec<u8>,
-    ) -> Result<(), EmCallError> {
-        let required = primitive.required_privilege();
-        if hart.privilege != required {
-            self.stats.blocked += 1;
-            return Err(EmCallError::CrossPrivilege {
-                required,
-                actual: hart.privilege,
-            });
-        }
-        let caller = CallerIdentity {
-            privilege: hart.privilege,
-            enclave: hart.current_enclave,
-        };
-        let request = Request {
-            req_id: 0,
-            primitive,
-            caller,
-            args,
-            payload,
-        };
-        match self.tickets.get(&(hart.hart_id, req_id)) {
-            Some(ticket) => hub.mailbox.resubmit(ticket, request),
-            None => return Ok(()),
-        }
-        self.stats.forwarded += 1;
-        self.stats.resubmissions += 1;
-        Ok(())
-    }
-
-    /// Drops a tracked ticket (timed-out request, or an abort replaced by a
-    /// fresh submission). Returns whether a ticket was actually parked.
-    pub fn retire_tracked(&mut self, hart_id: u32, req_id: u64) -> bool {
-        self.tickets.remove(&(hart_id, req_id)).is_some()
-    }
-
-    /// Number of requests this hart currently has in flight.
-    pub fn outstanding_for(&self, hart_id: u32) -> usize {
-        self.tickets
-            .range((hart_id, 0)..=(hart_id, u64::MAX))
-            .count()
-    }
-
-    /// Total tracked requests in flight across all harts.
-    pub fn outstanding(&self) -> usize {
-        self.tickets.len()
-    }
-
-    /// The request ids a hart currently has in flight, in submission-id
-    /// order (observability for harnesses asserting no ticket leaks).
-    pub fn tracked_requests(&self, hart_id: u32) -> Vec<u64> {
-        self.tickets
-            .range((hart_id, 0)..=(hart_id, u64::MAX))
-            .map(|((_, req_id), _)| *req_id)
-            .collect()
     }
 
     /// Atomically switches a hart into a *fresh* enclave context: saves the
@@ -562,8 +432,8 @@ impl EmCall {
 }
 
 /// Compile-time `Send` pins for the sharded-execution refactor
-/// (`hypertee::shard`): each shard domain owns a whole gate — including
-/// its per-hart ticket table — and carries it across the worker-pool
+/// (`hypertee::shard`): each shard domain owns a whole gate and, through
+/// its pipeline, every in-flight ticket; both cross the worker-pool
 /// boundary, so a regression to non-`Send` state (an `Rc`, a raw
 /// pointer) must fail the build here, not a test run.
 fn assert_send<T: Send>() {}
@@ -625,10 +495,10 @@ mod tests {
         let ticket = emcall
             .submit(&h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
             .unwrap();
-        let ticket = emcall.poll(&mut hub, ticket).unwrap_err();
+        assert!(emcall.poll(&mut hub, &ticket).is_none());
         let req = hub.ems_fetch_request(&cap).unwrap();
         hub.ems_push_response(&cap, Response::ok(req.req_id, vec![0x2000_0000, 1]));
-        let resp = emcall.poll(&mut hub, ticket).unwrap();
+        let resp = emcall.poll(&mut hub, &ticket).unwrap();
         assert_eq!(resp.status, Status::Ok);
         assert!(emcall.stats.polls >= 2);
     }
@@ -672,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn tracked_tickets_let_distinct_harts_overlap() {
+    fn tickets_let_distinct_harts_overlap() {
         let mut emcall = EmCall::new();
         let (mut hub, cap) = IHub::new();
         let mut harts = Vec::new();
@@ -683,18 +553,14 @@ mod tests {
             harts.push(h);
         }
         // All four harts submit before anyone polls.
-        let ids: Vec<u64> = harts
+        let tickets: Vec<RequestTicket> = harts
             .iter()
             .map(|h| {
                 emcall
-                    .submit_tracked(h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
+                    .submit(h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
                     .unwrap()
             })
             .collect();
-        assert_eq!(emcall.outstanding(), 4);
-        for h in &harts {
-            assert_eq!(emcall.outstanding_for(h.hart_id), 1);
-        }
         // EMS answers in reverse order, tagging each response with the
         // caller's enclave so delivery can be checked.
         let mut fetched = Vec::new();
@@ -705,49 +571,12 @@ mod tests {
             let tag = req.caller.enclave.unwrap().0;
             hub.ems_push_response(&cap, Response::ok(req.req_id, vec![tag, 1]));
         }
-        // A foreign hart polling someone else's req_id sees nothing and
-        // does not disturb the parked ticket.
-        assert!(emcall.poll_tracked(&mut hub, 3, ids[0]).is_none());
-        assert_eq!(emcall.outstanding(), 4);
-        // Each hart collects exactly its own response.
-        for (i, h) in harts.iter().enumerate() {
-            let resp = emcall.poll_tracked(&mut hub, h.hart_id, ids[i]).unwrap();
+        // Each ticket collects exactly its own hart's response, once.
+        for (h, ticket) in harts.iter().zip(&tickets) {
+            let resp = emcall.poll(&mut hub, ticket).unwrap();
             assert_eq!(resp.vals[0], u64::from(h.hart_id) + 1);
+            assert!(emcall.poll(&mut hub, ticket).is_none());
         }
-        assert_eq!(emcall.outstanding(), 0);
-    }
-
-    #[test]
-    fn tracked_resubmit_and_retire() {
-        let mut emcall = EmCall::new();
-        let (mut hub, cap) = IHub::new();
-        let h = hart(Privilege::User, Some(1));
-        let req_id = emcall
-            .submit_tracked(&h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
-            .unwrap();
-        let first = hub.ems_fetch_request(&cap).unwrap();
-        // Lost round trip: resubmit under the same req_id.
-        emcall
-            .resubmit_tracked(
-                &h,
-                &mut hub,
-                req_id,
-                Primitive::Ealloc,
-                vec![1, 4096],
-                vec![],
-            )
-            .unwrap();
-        let second = hub.ems_fetch_request(&cap).unwrap();
-        assert_eq!(first.req_id, second.req_id);
-        assert_eq!(emcall.stats.resubmissions, 1);
-        // Resubmitting an unknown req_id is a silent no-op.
-        emcall
-            .resubmit_tracked(&h, &mut hub, 9999, Primitive::Ealloc, vec![1, 4096], vec![])
-            .unwrap();
-        assert_eq!(emcall.stats.resubmissions, 1);
-        assert!(emcall.retire_tracked(0, req_id));
-        assert!(!emcall.retire_tracked(0, req_id));
-        assert_eq!(emcall.outstanding(), 0);
     }
 
     #[test]
@@ -761,7 +590,7 @@ mod tests {
             let t = emcall
                 .submit(&h, &mut hub, Primitive::Ealloc, vec![1, 4096], vec![])
                 .unwrap();
-            let _ = emcall.poll(&mut hub, t);
+            let _ = emcall.poll(&mut hub, &t);
             counts.insert(emcall.stats.polls - before);
         }
         assert!(counts.len() > 1, "poll costs must vary: {counts:?}");

@@ -591,7 +591,7 @@ fn scheduled_service_preserves_correctness() {
     // Every response arrived, bound to its own ticket, all successful —
     // and per-enclave heap addresses are monotone (program order held).
     let mut vas = (Vec::new(), Vec::new());
-    for (i, t) in tickets.into_iter().enumerate() {
+    for (i, t) in tickets.iter().enumerate() {
         let resp = m.hub.mailbox.poll(t).expect("response present");
         assert_eq!(resp.status, Status::Ok, "request {i}");
         if i % 2 == 0 {

@@ -211,7 +211,7 @@ mod tests {
         let ticket = hub.mailbox.submit(request());
         let req = hub.ems_fetch_request(&cap).unwrap();
         hub.ems_push_response(&cap, Response::ok(req.req_id, vec![9]));
-        assert_eq!(hub.mailbox.poll(ticket).unwrap().vals, vec![9]);
+        assert_eq!(hub.mailbox.poll(&ticket).unwrap().vals, vec![9]);
     }
 
     #[test]

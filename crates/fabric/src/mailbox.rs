@@ -192,27 +192,28 @@ impl Mailbox {
         self.responses.contains_key(&req_id)
     }
 
-    /// Polls for the response bound to `ticket`. Returns the ticket back on
-    /// a miss so the caller can poll again — the polling loop EMCall uses
-    /// instead of trusting CS interrupt handlers. A response that fails its
-    /// integrity check is discarded and reported as a miss: the caller's
-    /// retry path treats it exactly like a lost packet.
-    pub fn poll(&mut self, ticket: RequestTicket) -> Result<Response, RequestTicket> {
+    /// Polls for the response bound to `ticket`. The ticket is only
+    /// borrowed: on a miss (`None`) its holder keeps it to poll again — the
+    /// polling loop EMCall uses instead of trusting CS interrupt handlers.
+    /// A response that fails its integrity check is discarded and reported
+    /// as a miss: the caller's retry path treats it exactly like a lost
+    /// packet.
+    pub fn poll(&mut self, ticket: &RequestTicket) -> Option<Response> {
         match self.responses.remove(&ticket.req_id) {
             Some(r) if r.intact() => {
                 // Quarantined duplicates of a collected response can never
                 // be delivered again; drop them.
                 self.stale.retain(|s| s.req_id != ticket.req_id);
-                Ok(r)
+                Some(r)
             }
             Some(_) => {
                 self.stats.corrupt_dropped += 1;
                 self.stats.empty_polls += 1;
-                Err(ticket)
+                None
             }
             None => {
                 self.stats.empty_polls += 1;
-                Err(ticket)
+                None
             }
         }
     }
@@ -259,7 +260,7 @@ mod tests {
         let req = mb.fetch_request().unwrap();
         assert_eq!(req.req_id, ticket.req_id());
         mb.push_response(Response::ok(req.req_id, vec![42]));
-        let resp = mb.poll(ticket).unwrap();
+        let resp = mb.poll(&ticket).unwrap();
         assert_eq!(resp.vals, vec![42]);
         assert_eq!(resp.status, Status::Ok);
     }
@@ -268,11 +269,11 @@ mod tests {
     fn poll_before_response_misses() {
         let mut mb = Mailbox::new();
         let ticket = mb.submit(request());
-        let ticket = mb.poll(ticket).unwrap_err();
+        assert!(mb.poll(&ticket).is_none());
         assert_eq!(mb.stats.empty_polls, 1);
         let req = mb.fetch_request().unwrap();
         mb.push_response(Response::ok(req.req_id, vec![]));
-        assert!(mb.poll(ticket).is_ok());
+        assert!(mb.poll(&ticket).is_some());
     }
 
     #[test]
@@ -287,8 +288,8 @@ mod tests {
         // EMS completes the *second* request first.
         mb.push_response(Response::ok(r2.req_id, vec![2]));
         mb.push_response(Response::ok(r1.req_id, vec![1]));
-        assert_eq!(mb.poll(t1).unwrap().vals, vec![1]);
-        assert_eq!(mb.poll(t2).unwrap().vals, vec![2]);
+        assert_eq!(mb.poll(&t1).unwrap().vals, vec![1]);
+        assert_eq!(mb.poll(&t2).unwrap().vals, vec![2]);
     }
 
     #[test]
@@ -332,13 +333,13 @@ mod tests {
         let mut resp = Response::ok(req.req_id, vec![42]);
         resp.vals[0] ^= 1; // corrupted in flight, checksum now stale
         mb.push_response(resp);
-        let ticket = mb.poll(ticket).unwrap_err();
+        assert!(mb.poll(&ticket).is_none());
         assert_eq!(mb.stats.corrupt_dropped, 1);
         // Recovery: resubmit and answer cleanly.
         mb.resubmit(&ticket, request());
         let req = mb.fetch_request().unwrap();
         mb.push_response(Response::ok(req.req_id, vec![42]));
-        assert_eq!(mb.poll(ticket).unwrap().vals, vec![42]);
+        assert_eq!(mb.poll(&ticket).unwrap().vals, vec![42]);
     }
 
     #[test]
@@ -353,7 +354,7 @@ mod tests {
         );
         let mut mb = Mailbox::new();
         mb.arm_faults(plan.injector("mailbox"));
-        let mut ticket = mb.submit(request());
+        let ticket = mb.submit(request());
         let req = mb.fetch_request().unwrap();
         mb.push_response(Response::ok(req.req_id, vec![7]));
         assert_eq!(mb.pending_responses(), 1, "response must be held, not lost");
@@ -363,21 +364,16 @@ mod tests {
         );
         let mut rounds = 0;
         loop {
-            match mb.poll(ticket) {
-                Ok(resp) => {
-                    assert_eq!(resp.vals, vec![7]);
-                    break;
-                }
-                Err(t) => {
-                    ticket = t;
-                    rounds += 1;
-                    assert!(rounds <= 4, "delay must expire within delay_polls_max + 1");
-                    let released = mb.advance_round();
-                    if !released.is_empty() {
-                        assert_eq!(released, vec![req.req_id]);
-                        assert!(mb.has_response(req.req_id));
-                    }
-                }
+            if let Some(resp) = mb.poll(&ticket) {
+                assert_eq!(resp.vals, vec![7]);
+                break;
+            }
+            rounds += 1;
+            assert!(rounds <= 4, "delay must expire within delay_polls_max + 1");
+            let released = mb.advance_round();
+            if !released.is_empty() {
+                assert_eq!(released, vec![req.req_id]);
+                assert!(mb.has_response(req.req_id));
             }
         }
         assert!(rounds >= 1, "a delayed response cannot arrive instantly");
@@ -398,7 +394,7 @@ mod tests {
         let req = mb.fetch_request().unwrap();
         mb.push_response(Response::ok(req.req_id, vec![9]));
         assert_eq!(mb.stale_duplicates(), 1);
-        assert_eq!(mb.poll(ticket).unwrap().vals, vec![9]);
+        assert_eq!(mb.poll(&ticket).unwrap().vals, vec![9]);
         // Collecting the real copy purges the quarantined duplicate.
         assert_eq!(mb.stale_duplicates(), 0);
     }

@@ -3,7 +3,7 @@
 //! `take_completion` pipeline while updating the [`RefModel`] in parallel,
 //! diffing every completion (status, response values, per-enclave view) and
 //! periodically the whole memory plane (bitmap accounting, ownership,
-//! page-table/TLB coherence, ticket leaks) against the model.
+//! page-table/TLB coherence, calls left in flight) against the model.
 //!
 //! # Concurrency discipline
 //!
@@ -1386,7 +1386,7 @@ impl Driver<'_> {
 
     /// The quiescent whole-machine diff: cross-structure audit, bitmap /
     /// ownership / pool accounting against the model, per-slot views, TLB
-    /// coherence on every hart, EMCall ticket leaks, and the hart-context
+    /// coherence on every hart, no call left in flight, and the hart-context
     /// mirror.
     fn checkpoint(&mut self, at: usize) {
         if self.divergence.is_some() {
@@ -1497,18 +1497,20 @@ impl Driver<'_> {
                 }
             }
         }
+        // Quiescence: every submitted call was collected, so no mailbox
+        // ticket is still held by a pipeline entry.
+        let in_flight = self.m.pipeline_stats().in_flight;
+        if in_flight != 0 {
+            self.diverge(
+                at,
+                None,
+                format!("{in_flight} call(s) still in flight at a quiescent checkpoint"),
+            );
+            return;
+        }
         for hart in 0..self.campaign.harts {
             self.check_tlb(at, None, hart);
             if self.divergence.is_some() {
-                return;
-            }
-            let tracked = self.m.emcall.tracked_requests(hart as u32);
-            if !tracked.is_empty() {
-                self.diverge(
-                    at,
-                    None,
-                    format!("hart {hart} leaked {} EMCall ticket(s)", tracked.len()),
-                );
                 return;
             }
             // Hart-context mirror: EMCall's notion of "inside which enclave"

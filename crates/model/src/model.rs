@@ -279,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn eid_freshness_is_tracked() {
+    fn eid_freshness_is_checked() {
         let mut m = RefModel::new();
         m.create(0, 1, 4096, 4096, 4096);
         m.destroy(0);

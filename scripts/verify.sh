@@ -83,6 +83,11 @@ cargo run --release --offline -p hypertee-chaos --bin serving_bench -- --smoke -
     --out target/BENCH_serving_smoke_refpump.json > /dev/null
 cmp target/BENCH_serving_smoke.json target/BENCH_serving_smoke_refpump.json
 
+echo "==> committed serving replay (full attestation storm, byte-compared against BENCH_serving.json)"
+cargo run --release --offline -p hypertee-chaos --bin serving_bench -- \
+    --out target/BENCH_serving_replay.json > /dev/null
+cmp target/BENCH_serving_replay.json BENCH_serving.json
+
 echo "==> parallel determinism smoke (sharded chaos, 1 vs 4 threads, byte-compared)"
 cargo run --release --offline -p hypertee-chaos --bin chaos_campaign -- --smoke --shards 4 \
     --threads 1 --out target/BENCH_chaos_shard_t1.json > /dev/null

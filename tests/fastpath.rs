@@ -19,6 +19,7 @@ use hypertee_repro::hypertee_cpu::asm::Asm;
 use hypertee_repro::mem::addr::{KeyId, PhysAddr, VirtAddr};
 use hypertee_repro::mem::mktme::MktmeEngine;
 use hypertee_repro::mem::phys::PhysMemory;
+use hypertee_repro::mem::walkcache::WalkCacheStats;
 use hypertee_repro::mem::MemFault;
 use hypertee_repro::workloads::programs;
 
@@ -250,10 +251,13 @@ fn host_store_over_cached_block_reexecutes_new_bytes_with_identical_charges() {
 }
 
 /// The decoded-block interpreter must be invisible in the sharded merged
-/// reports: per-shard simulated clocks, the merged clock, and the merged
-/// stats from a 4-shard enclave-program workload are identical at every
-/// (thread width, interpreter mode) combination — the same invariance
-/// `tests/sharding.rs` pins for thread width alone.
+/// reports: per-shard simulated clocks, the merged clock, the merged
+/// stats, and each shard's MKTME full-line / batched-keystream counters and
+/// per-hart walk-cache stats from a 4-shard enclave-program workload are
+/// identical at every (thread width, interpreter mode) combination — the
+/// same invariance `tests/sharding.rs` pins for thread width alone. MKTME
+/// `bytes_decrypted` and `mac_checks` are deliberately not compared: the
+/// decode cache legitimately skips instruction refetches.
 #[test]
 fn interpreter_mode_is_invisible_in_sharded_merged_reports() {
     let manifest =
@@ -275,8 +279,27 @@ fn interpreter_mode_is_invisible_in_sharded_merged_reports() {
             d.machine.exit(0).expect("exit");
         });
         let clocks: Vec<u64> = m.domains().iter().map(|d| d.machine.clock.0).collect();
+        let mktme: Vec<(u64, u64)> = m
+            .domains()
+            .iter()
+            .map(|d| {
+                let stats = &d.machine.sys.engine.stats;
+                (stats.full_line_writes, stats.keystream_blocks_batched)
+            })
+            .collect();
+        let walk_caches: Vec<Vec<WalkCacheStats>> = m
+            .domains()
+            .iter()
+            .map(|d| {
+                d.machine
+                    .harts
+                    .iter()
+                    .map(|h| h.mmu.walk_cache.stats)
+                    .collect()
+            })
+            .collect();
         let merged = m.merged_clock();
-        (clocks, merged, m.merged_stats())
+        (clocks, merged, m.merged_stats(), mktme, walk_caches)
     };
     let reference = run(1, InterpMode::Reference);
     for (threads, mode) in [

@@ -80,24 +80,19 @@ fn mailbox_ticket_binding_survives_drops_and_duplicates() {
             .collect();
         echo_service(&mut hub, &cap);
 
-        for (marker, mut ticket) in tickets {
+        for (marker, ticket) in tickets {
             let mut collected = None;
             for _attempt in 0..64 {
-                match hub.mailbox.poll(ticket) {
-                    Ok(resp) => {
-                        collected = Some(resp);
-                        break;
-                    }
-                    Err(t) => {
-                        // Lost somewhere on the fabric: advance the fabric
-                        // clock (releasing any delayed packet), resubmit
-                        // under the same identification, service again.
-                        hub.mailbox.advance_round();
-                        hub.mailbox.resubmit(&t, probe_request(marker));
-                        echo_service(&mut hub, &cap);
-                        ticket = t;
-                    }
+                if let Some(resp) = hub.mailbox.poll(&ticket) {
+                    collected = Some(resp);
+                    break;
                 }
+                // Lost somewhere on the fabric: advance the fabric clock
+                // (releasing any delayed packet), resubmit under the same
+                // identification, service again.
+                hub.mailbox.advance_round();
+                hub.mailbox.resubmit(&ticket, probe_request(marker));
+                echo_service(&mut hub, &cap);
             }
             let resp = collected.unwrap_or_else(|| {
                 panic!("seed {seed}: request {marker} unrecovered after 64 resubmissions")
