@@ -36,7 +36,10 @@ use hypertee::shard::{par_run, ShardSpec, ShardedMachine};
 use hypertee_bench::microbench::{bench, bench_pair};
 use hypertee_bench::report::{check_file, validate, PerfBench, PerfReport, ReportArgs};
 use hypertee_crypto::aes::{ctr_iv, Aes128};
+use hypertee_crypto::chacha::ChaChaRng;
+use hypertee_crypto::ed::Point;
 use hypertee_crypto::mac::{mac28_lines, mac28_ref};
+use hypertee_crypto::scalar::Scalar;
 use hypertee_crypto::sha3::{keccakf, keccakf_ref, sha3_256_ref, Sha3_256};
 use hypertee_crypto::util::{fnv1a_words, FNV_OFFSET};
 use hypertee_fabric::message::{Primitive, Privilege};
@@ -158,6 +161,91 @@ fn crypto_benches(cfg: &ReportArgs, rows: &mut Vec<PerfBench>) {
         "aes128_ctr_4k",
         opt.ns_per_iter,
         4096,
+        Some(base.ns_per_iter),
+    ));
+
+    curve_benches(cfg, rows);
+}
+
+/// The three Curve25519 scalar-multiplication strategies of the
+/// attestation path, each against the double-and-add `mul_ref`: the
+/// fixed-base table (keygen, signing), the width-5 NAF (ECDH) and the
+/// Straus double-scalar product (verification), whose reference is two
+/// `mul_ref` calls plus an add. Per operation, on one 32-byte scalar.
+fn curve_benches(cfg: &ReportArgs, rows: &mut Vec<PerfBench>) {
+    let mut rng = ChaChaRng::from_u64(0xed25_5190);
+    let k = Scalar::random(&mut rng);
+    let j = Scalar::random(&mut rng);
+    let b = Point::base();
+    let p = Point::mul_base(&Scalar::random(&mut rng));
+    let n = iters(cfg, 60, 20);
+
+    assert_eq!(
+        Point::mul_base(&k),
+        b.mul_ref(&k),
+        "fixed-base mul diverged"
+    );
+    let (opt, base) = bench_pair(
+        "ed_base_mul",
+        "ed_base_mul_ref",
+        n,
+        32,
+        || {
+            black_box(Point::mul_base(black_box(&k)));
+        },
+        || {
+            black_box(b.mul_ref(black_box(&k)));
+        },
+    );
+    rows.push(PerfBench::from_timings(
+        "ed_base_mul",
+        opt.ns_per_iter,
+        32,
+        Some(base.ns_per_iter),
+    ));
+
+    assert_eq!(p.mul(&k), p.mul_ref(&k), "variable-base mul diverged");
+    let (opt, base) = bench_pair(
+        "ed_var_mul",
+        "ed_var_mul_ref",
+        n,
+        32,
+        || {
+            black_box(black_box(&p).mul(black_box(&k)));
+        },
+        || {
+            black_box(black_box(&p).mul_ref(black_box(&k)));
+        },
+    );
+    rows.push(PerfBench::from_timings(
+        "ed_var_mul",
+        opt.ns_per_iter,
+        32,
+        Some(base.ns_per_iter),
+    ));
+
+    let double_ref = |a: &Scalar, b2: &Scalar| p.mul_ref(a).add(&b.mul_ref(b2));
+    assert_eq!(
+        Point::double_mul_base(&k, &p, &j),
+        double_ref(&k, &j),
+        "double-scalar mul diverged"
+    );
+    let (opt, base) = bench_pair(
+        "ed_double_mul",
+        "ed_double_mul_ref",
+        n,
+        32,
+        || {
+            black_box(Point::double_mul_base(black_box(&k), &p, black_box(&j)));
+        },
+        || {
+            black_box(double_ref(black_box(&k), black_box(&j)));
+        },
+    );
+    rows.push(PerfBench::from_timings(
+        "ed_double_mul",
+        opt.ns_per_iter,
+        32,
         Some(base.ns_per_iter),
     ));
 }

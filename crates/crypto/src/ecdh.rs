@@ -35,7 +35,7 @@ impl EcdhPrivate {
     /// Generates a fresh ephemeral key.
     pub fn generate(rng: &mut ChaChaRng) -> EcdhPrivate {
         let secret = Scalar::random(rng);
-        let public = EcdhPublic(Point::base().mul(&secret));
+        let public = EcdhPublic(Point::mul_base(&secret));
         EcdhPrivate { secret, public }
     }
 

@@ -1,8 +1,15 @@
 //! Arithmetic modulo the Curve25519 group order
 //! L = 2^252 + 27742317777372353535851937790883648493.
+//!
+//! Wide values and products reduce by folding: writing L = 2^252 + c with
+//! c < 2^125, any x = h·2^252 + l satisfies x ≡ l − h·c (mod L), which
+//! shrinks a 512-bit value to below 2^252 in at most four rounds. The
+//! generic binary long division `U512::reduce_mod(&L)` is kept as the
+//! differential oracle.
 
 use crate::chacha::ChaChaRng;
 use crate::u256::{U256, U512};
+use crate::CryptoError;
 
 /// The group order L, little-endian limbs.
 pub const L: U256 = U256([
@@ -11,6 +18,57 @@ pub const L: U256 = U256([
     0x0000_0000_0000_0000,
     0x1000_0000_0000_0000,
 ]);
+
+/// c = L − 2^252.
+const C: [u64; 2] = [L.0[0], L.0[1]];
+
+/// Reduces a 512-bit value modulo L by folding 2^252 ≡ −c.
+///
+/// The running value is kept as a sign and a magnitude: each round splits
+/// the magnitude at bit 252 and replaces h·2^252 + l by l − h·c, flipping
+/// the sign when h·c exceeds l. Magnitudes shrink 512 → 385 → 258 → 252
+/// bits, so the loop ends after at most four rounds with a magnitude below
+/// 2^252 < L.
+fn reduce_wide(x: &U512) -> U256 {
+    let mut mag = x.0;
+    let mut neg = false;
+    loop {
+        let mut h = [0u64; 5];
+        for (i, hi) in h.iter_mut().enumerate() {
+            let above = if i + 4 < 8 { mag[i + 4] << 4 } else { 0 };
+            *hi = (mag[i + 3] >> 60) | above;
+        }
+        if h == [0; 5] {
+            break;
+        }
+        let mut l = [0u64; 8];
+        l[..4].copy_from_slice(&mag[..4]);
+        l[3] &= (1 << 60) - 1;
+        let mut hc = [0u64; 8];
+        for (i, &hi) in h.iter().enumerate() {
+            let mut carry = 0u128;
+            for (j, &cj) in C.iter().enumerate() {
+                let acc = hc[i + j] as u128 + (hi as u128) * (cj as u128) + carry;
+                hc[i + j] = acc as u64;
+                carry = acc >> 64;
+            }
+            hc[i + 2] = carry as u64;
+        }
+        let (l, hc) = (U512(l), U512(hc));
+        mag = if l.cmp_u512(&hc) == core::cmp::Ordering::Less {
+            neg = !neg;
+            hc.checked_sub(&l).0
+        } else {
+            l.checked_sub(&hc).0
+        };
+    }
+    let r = U256([mag[0], mag[1], mag[2], mag[3]]);
+    if neg && !r.is_zero() {
+        L.sbb(&r).0
+    } else {
+        r
+    }
+}
 
 /// A scalar modulo L, kept in canonical form (`< L`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -24,19 +82,33 @@ impl Scalar {
 
     /// Builds a scalar from a small integer.
     pub fn from_u64(v: u64) -> Scalar {
-        Scalar(U512::from_u256(&U256::from_u64(v)).reduce_mod(&L))
+        Scalar(U256::from_u64(v))
     }
 
     /// Reduces 32 little-endian bytes modulo L.
     pub fn from_le_bytes(bytes: &[u8; 32]) -> Scalar {
+        Scalar(reduce_wide(&U512::from_u256(&U256::from_le_bytes(bytes))))
+    }
+
+    /// Parses 32 little-endian bytes that must already be canonical.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::InvalidScalar`] when the value is `≥ L`: a
+    /// wire format that accepted `s + L` for `s` would be malleable.
+    pub(crate) fn from_canonical_bytes(bytes: &[u8; 32]) -> Result<Scalar, CryptoError> {
         let raw = U256::from_le_bytes(bytes);
-        Scalar(U512::from_u256(&raw).reduce_mod(&L))
+        if raw.cmp_u256(&L) == core::cmp::Ordering::Less {
+            Ok(Scalar(raw))
+        } else {
+            Err(CryptoError::InvalidScalar)
+        }
     }
 
     /// Reduces 64 little-endian bytes (e.g. a hash widened to 512 bits)
     /// modulo L — the standard way to map digests to scalars.
     pub fn from_le_bytes_wide(bytes: &[u8; 64]) -> Scalar {
-        Scalar(U512::from_le_bytes(bytes).reduce_mod(&L))
+        Scalar(reduce_wide(&U512::from_le_bytes(bytes)))
     }
 
     /// Serializes to 32 little-endian bytes.
@@ -73,7 +145,7 @@ impl Scalar {
 
     /// Scalar multiplication mod L.
     pub fn mul(&self, other: &Scalar) -> Scalar {
-        Scalar(crate::u256::mul_mod(&self.0, &other.0, &L))
+        Scalar(reduce_wide(&self.0.widening_mul(&other.0)))
     }
 
     /// Returns the bit at `index` of the canonical representation.
@@ -95,6 +167,39 @@ mod tests {
     fn l_reduces_to_zero() {
         let bytes = L.to_le_bytes();
         assert!(Scalar::from_le_bytes(&bytes).is_zero());
+    }
+
+    #[test]
+    fn folding_matches_long_division_on_edges() {
+        // Random inputs are covered by tests/props.rs.
+        let (lm1, _) = L.sbb(&U256::ONE);
+        let cases = [
+            U512::default(),
+            U512::from_u256(&L),
+            U512::from_u256(&lm1),
+            U512([u64::MAX; 8]),
+            U512([0, 0, 0, 1 << 60, 0, 0, 0, 0]),
+            L.widening_mul(&L),
+            lm1.widening_mul(&lm1),
+        ];
+        for x in cases {
+            assert_eq!(reduce_wide(&x), x.reduce_mod(&L), "{x:?}");
+        }
+    }
+
+    #[test]
+    fn canonical_parse_rejects_l_and_above() {
+        let (lm1, _) = L.sbb(&U256::ONE);
+        assert_eq!(
+            Scalar::from_canonical_bytes(&lm1.to_le_bytes()),
+            Ok(Scalar(lm1))
+        );
+        for bad in [L, L.adc(&U256::ONE).0, U256([u64::MAX; 4])] {
+            assert_eq!(
+                Scalar::from_canonical_bytes(&bad.to_le_bytes()),
+                Err(CryptoError::InvalidScalar)
+            );
+        }
     }
 
     #[test]

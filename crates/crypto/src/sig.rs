@@ -39,10 +39,12 @@ impl Signature {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidPoint`] when R is off-curve.
+    /// Returns [`CryptoError::InvalidPoint`] when R is off-curve or not
+    /// canonically encoded, and [`CryptoError::InvalidScalar`] when
+    /// `s ≥ L` (so `s` and `s + L` cannot both decode).
     pub fn from_bytes(bytes: &[u8; 96]) -> Result<Signature, CryptoError> {
         let r = Point::decode(&bytes[..64].try_into().expect("64 bytes"))?;
-        let s = Scalar::from_le_bytes(&bytes[64..].try_into().expect("32 bytes"));
+        let s = Scalar::from_canonical_bytes(&bytes[64..].try_into().expect("32 bytes"))?;
         Ok(Signature { r, s })
     }
 }
@@ -92,7 +94,7 @@ impl Keypair {
     pub fn generate(rng: &mut ChaChaRng) -> Keypair {
         let secret = Scalar::random(rng);
         let seed = rng.gen_bytes32();
-        let public = PublicKey(Point::base().mul(&secret));
+        let public = PublicKey(Point::mul_base(&secret));
         Keypair {
             secret,
             seed,
@@ -122,7 +124,7 @@ impl Keypair {
         h3.update(b"hypertee-keygen-seed");
         h3.update(material);
         let seed = h3.finalize();
-        let public = PublicKey(Point::base().mul(&secret));
+        let public = PublicKey(Point::mul_base(&secret));
         Keypair {
             secret,
             seed,
@@ -149,7 +151,7 @@ impl Keypair {
         if r.is_zero() {
             r = Scalar::ONE;
         }
-        let big_r = Point::base().mul(&r);
+        let big_r = Point::mul_base(&r);
         let e = challenge(&big_r, &self.public.0, msg);
         let s = r.add(&e.mul(&self.secret));
         Signature { r: big_r, s }
@@ -160,10 +162,9 @@ impl PublicKey {
     /// Verifies a signature over `msg`. Returns `true` on success.
     pub fn verify(&self, msg: &[u8], sig: &Signature) -> bool {
         let e = challenge(&sig.r, &self.0, msg);
-        // s·B == R + e·A.
-        let lhs = Point::base().mul(&sig.s);
-        let rhs = sig.r.add(&self.0.mul(&e));
-        lhs == rhs
+        // s·B == R + e·A, checked as e·(−A) + s·B == R. Negating the point
+        // rather than the scalar keeps the check exact for any A.
+        Point::double_mul_base(&e, &self.0.neg(), &sig.s) == sig.r
     }
 
     /// Serializes to 64 bytes.
@@ -234,6 +235,32 @@ mod tests {
         let mut sig = kp.sign(b"msg");
         sig.s = sig.s.add(&Scalar::ONE);
         assert!(!kp.public.verify(b"msg", &sig));
+    }
+
+    #[test]
+    fn verify_matches_reference_equation_off_subgroup() {
+        // A key A' = A + T with T of order 2, and signatures made for A'
+        // with A's secret: s·B == R + e·A' then holds only for even e, so a
+        // verifier that negated e instead of A' would disagree with the
+        // seed equation on about half of these messages.
+        let kp = Keypair::from_key_material(&[0x33; 32]);
+        let order2 = Point::from_affine(crate::fe::Fe::ZERO, crate::fe::Fe::ONE.neg()).unwrap();
+        let twisted = PublicKey(kp.public.0.add(&order2));
+        let mut outcomes = [0usize; 2];
+        for i in 0..16u64 {
+            let msg = i.to_le_bytes();
+            let r = Scalar::from_u64(1000 + i);
+            let big_r = Point::mul_base(&r);
+            let e = challenge(&big_r, &twisted.0, &msg);
+            let sig = Signature {
+                r: big_r,
+                s: r.add(&e.mul(&kp.secret)),
+            };
+            let seed_eq = Point::base().mul_ref(&sig.s) == big_r.add(&twisted.0.mul_ref(&e));
+            assert_eq!(twisted.verify(&msg, &sig), seed_eq, "message {i}");
+            outcomes[usize::from(seed_eq)] += 1;
+        }
+        assert!(outcomes[0] > 0 && outcomes[1] > 0, "{outcomes:?}");
     }
 
     #[test]

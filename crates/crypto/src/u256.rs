@@ -1,9 +1,11 @@
-//! Minimal fixed-width big integers (256/512-bit) backing the Curve25519
-//! field and scalar arithmetic. Little-endian `u64` limbs throughout.
+//! Minimal fixed-width big integers (256/512-bit): the wire form of field
+//! elements and scalars, and the generic reference arithmetic. Little-endian
+//! `u64` limbs throughout.
 //!
-//! Performance note: EMS invokes attestation-grade arithmetic at primitive
-//! granularity (a handful of times per enclave lifetime), so these routines
-//! favour obvious correctness over speed.
+//! The hot Curve25519 paths do not run here: `fe` multiplies in radix 2^51
+//! and `scalar` reduces by folding. [`mul_mod`] and [`U512::reduce_mod`]
+//! stay deliberately generic and simple, because they are the differential
+//! oracles those fast paths are tested against.
 
 /// A 256-bit unsigned integer, little-endian limbs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -194,7 +196,9 @@ impl U512 {
     }
 
     /// Reduces a 512-bit value modulo a 256-bit modulus via binary long
-    /// division. O(512) limb subtractions — fine at EMS call rates.
+    /// division: up to 512 shift-and-subtract steps, microseconds per call.
+    /// The reference for `scalar`'s folding reduction and, through
+    /// [`mul_mod`], for the field multiply; no production path calls it.
     ///
     /// # Panics
     ///

@@ -162,40 +162,50 @@ fn ctr_iv_is_deterministic_per_tweak() {
 }
 
 /// RFC 8032 TEST 1 and TEST 2, restated as curve facts: clamped(SHA-512(seed))
-/// times the base point equals the decompressed public key.
+/// times the base point equals the decompressed public key. Each vector
+/// runs through every multiplication path: the double-and-add reference,
+/// the fixed-base table, the variable-base wNAF with B as an ordinary
+/// point, and both arms of the Straus double-scalar multiplication.
 #[test]
 fn ed25519_rfc8032_base_point_multiples() {
-    // TEST 1: seed 9d61b19d..; public key d75a9801..511a.
-    let s1 = Scalar::from_le_bytes(&unhex32(
-        "307c83864f2833cb427a2ef1c00a013cfdff2768d980c0a3a520f006904de94f",
-    ));
-    let a1 = Point::from_affine(
-        Fe::from_le_bytes(&unhex32(
+    let vectors = [
+        // TEST 1: seed 9d61b19d..; public key d75a9801..511a.
+        (
+            "307c83864f2833cb427a2ef1c00a013cfdff2768d980c0a3a520f006904de94f",
             "ce457677bd8627b1247c185372d413c520f6d0608de0972229349d2b9ae0d055",
-        )),
-        Fe::from_le_bytes(&unhex32(
             "d75a980182b10ab7d54bfed3c964073a0ee172f3daa62325af021a68f707511a",
-        )),
-    )
-    .expect("RFC 8032 TEST 1 public key is on the curve");
-    assert!(Point::base().mul(&s1).equals(&a1));
-
-    // TEST 2: seed 4ccd089b..; public key 3d4017c3..660c.
-    let s2 = Scalar::from_le_bytes(&unhex32(
-        "68bd9ed75882d52815a97585caf4790a7f6c6b3b7f821c5e259a24b02e502e51",
-    ));
-    let a2 = Point::from_affine(
-        Fe::from_le_bytes(&unhex32(
+        ),
+        // TEST 2: seed 4ccd089b..; public key 3d4017c3..660c.
+        (
+            "68bd9ed75882d52815a97585caf4790a7f6c6b3b7f821c5e259a24b02e502e51",
             "ae43de571ee04a246f09a5b61ff98580524e8685653e81c04b384f5b2028ad74",
-        )),
-        Fe::from_le_bytes(&unhex32(
             "3d4017c3e843895a92b70aa74d1b7ebc9c982ccf2ec4968cc0cd55f12af4660c",
-        )),
-    )
-    .expect("RFC 8032 TEST 2 public key is on the curve");
-    assert!(Point::base().mul(&s2).equals(&a2));
+        ),
+    ];
+    let b = Point::base();
+    let mut publics = Vec::new();
+    for (i, (s, x, y)) in vectors.iter().enumerate() {
+        let s = Scalar::from_le_bytes(&unhex32(s));
+        let a = Point::from_affine(
+            Fe::from_le_bytes(&unhex32(x)),
+            Fe::from_le_bytes(&unhex32(y)),
+        )
+        .expect("RFC 8032 public key is on the curve");
+        assert!(b.mul_ref(&s).equals(&a), "TEST {}: mul_ref", i + 1);
+        assert!(Point::mul_base(&s).equals(&a), "TEST {}: mul_base", i + 1);
+        assert!(b.mul(&s).equals(&a), "TEST {}: mul", i + 1);
+        let straus_var = Point::double_mul_base(&s, &b, &Scalar::ZERO);
+        assert!(straus_var.equals(&a), "TEST {}: Straus A arm", i + 1);
+        let straus_base = Point::double_mul_base(&Scalar::ZERO, &a, &s);
+        assert!(straus_base.equals(&a), "TEST {}: Straus B arm", i + 1);
+        // Split s = u + (s − u) across both arms.
+        let u = Scalar::from_le_bytes(&[0x5c; 32]);
+        let split = Point::double_mul_base(&u, &b, &s.sub(&u));
+        assert!(split.equals(&a), "TEST {}: Straus split", i + 1);
+        publics.push(a);
+    }
 
     // The two multiples are distinct points (sanity against degenerate
     // mul implementations).
-    assert!(!a1.equals(&a2));
+    assert!(!publics[0].equals(&publics[1]));
 }

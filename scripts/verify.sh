@@ -38,6 +38,9 @@ cargo run --release --offline --example model_smoke
 echo "==> interp-diff smoke (decoded-block fast path vs step_ref oracle, fixed seed)"
 cargo run --release --offline --example interp_smoke
 
+echo "==> crypto smoke (Curve25519 fast paths vs mul_ref oracle, fixed seed)"
+cargo run --release --offline --example crypto_smoke
+
 echo "==> bench_report smoke (release, reduced iterations, schema-validated)"
 cargo run --release --offline -p hypertee-bench --bin bench_report -- --smoke \
     --out target/BENCH_perf_smoke.json > /dev/null

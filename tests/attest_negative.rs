@@ -4,6 +4,9 @@
 //! must reject cleanly at this layer too.
 
 use hypertee_repro::crypto::chacha::ChaChaRng;
+use hypertee_repro::crypto::fe::P;
+use hypertee_repro::crypto::scalar::L;
+use hypertee_repro::crypto::u256::U256;
 use hypertee_repro::ems::attest::{Quote, SigmaInitiator};
 use hypertee_repro::ems::error::EmsError;
 use hypertee_repro::hypertee::machine::Machine;
@@ -71,6 +74,39 @@ fn quote_survives_no_single_bit_flip() {
         };
         assert!(!accepted, "bit flip at byte {i} produced an accepted quote");
     }
+}
+
+/// Adds `k` to the 256-bit little-endian field at `bytes[at..at + 32]`.
+fn add_to_field(bytes: &mut [u8], at: usize, k: &U256) {
+    let v = U256::from_le_bytes(&bytes[at..at + 32].try_into().unwrap());
+    let (sum, carry) = v.adc(k);
+    assert!(!carry, "the shifted value must still fit 256 bits");
+    bytes[at..at + 32].copy_from_slice(&sum.to_le_bytes());
+}
+
+#[test]
+fn quote_rejects_non_canonical_encodings() {
+    // Each tampering below names the same mathematical quote: a decoder
+    // that reduced it would accept a second wire image for one quote.
+    let (m, _eid, quote) = quoted_machine(5, b"canonical check");
+    let ek = m.ek_public();
+    let bytes = quote.to_bytes();
+    assert!(Quote::from_bytes(&bytes).unwrap().verify(&ek));
+
+    // platform_sig.s (bytes 256..288) replaced by s + L.
+    let mut s_plus_l = bytes.clone();
+    add_to_field(&mut s_plus_l, 256, &L);
+    assert_eq!(
+        Quote::from_bytes(&s_plus_l).unwrap_err(),
+        EmsError::InvalidArgument
+    );
+    // ak_pub's x coordinate (bytes 128..160) encoded as x + p.
+    let mut x_plus_p = bytes.clone();
+    add_to_field(&mut x_plus_p, 128, &P);
+    assert_eq!(
+        Quote::from_bytes(&x_plus_p).unwrap_err(),
+        EmsError::InvalidArgument
+    );
 }
 
 #[test]

@@ -6,10 +6,12 @@
 use hypertee_repro::crypto::aes::{ctr_iv, Aes128};
 use hypertee_repro::crypto::chacha::ChaChaRng;
 use hypertee_repro::crypto::ed::Point;
-use hypertee_repro::crypto::fe::Fe;
-use hypertee_repro::crypto::scalar::Scalar;
+use hypertee_repro::crypto::fe::{Fe, P};
+use hypertee_repro::crypto::scalar::{Scalar, L};
 use hypertee_repro::crypto::sha256::{sha256, Sha256};
-use hypertee_repro::crypto::sig::Keypair;
+use hypertee_repro::crypto::sig::{Keypair, Signature};
+use hypertee_repro::crypto::u256::{mul_mod, U256, U512};
+use hypertee_repro::crypto::CryptoError;
 use hypertee_repro::fabric::ring::Ring;
 use hypertee_repro::hypertee_cpu::asm::Asm;
 use hypertee_repro::hypertee_cpu::isa::decode;
@@ -106,14 +108,139 @@ fn scalar_ring_laws() {
     });
 }
 
+/// Scalars where recodings carry, wrap or saturate: 0, 1, a full and a
+/// just-overflowing radix-16 digit, L − 1, 2^252, every nibble 0xf, and a
+/// lone top nibble.
+fn edge_scalars() -> Vec<Scalar> {
+    let (lm1, _) = L.sbb(&U256::ONE);
+    let mut all_f = [0xffu8; 32];
+    all_f[31] = 0x0f;
+    let mut two_252 = [0u8; 32];
+    two_252[31] = 0x10;
+    let mut top_nibble = [0u8; 32];
+    top_nibble[31] = 0x0f;
+    vec![
+        Scalar::ZERO,
+        Scalar::ONE,
+        Scalar::from_u64(15),
+        Scalar::from_u64(16),
+        Scalar::from_le_bytes(&lm1.to_le_bytes()),
+        Scalar::from_le_bytes(&two_252),
+        Scalar::from_le_bytes(&all_f),
+        Scalar::from_le_bytes(&top_nibble),
+    ]
+}
+
+fn rand_scalar(rng: &mut ChaChaRng) -> Scalar {
+    Scalar::from_le_bytes(&rng.gen_bytes32())
+}
+
+fn fe_int(x: &Fe) -> U256 {
+    U256::from_le_bytes(&x.to_le_bytes())
+}
+
 #[test]
 fn group_homomorphism() {
     property("group_homomorphism", |rng| {
-        // (x+y)B == xB + yB for the Edwards group.
+        // (x+y)B == xB + yB for the Edwards group, on small and full-width
+        // scalars, with every multiplication path on both sides.
         let (x, y) = (1 + rng.gen_range(1 << 48), 1 + rng.gen_range(1 << 48));
         let (sx, sy) = (Scalar::from_u64(x), Scalar::from_u64(y));
         let b = Point::base();
         assert_eq!(b.mul(&sx.add(&sy)), b.mul(&sx).add(&b.mul(&sy)));
+        let (sx, sy) = (rand_scalar(rng), rand_scalar(rng));
+        let sum = Point::mul_base(&sx.add(&sy));
+        assert_eq!(sum, Point::mul_base(&sx).add(&Point::mul_base(&sy)));
+        assert_eq!(sum, b.mul_ref(&sx).add(&b.mul(&sy)));
+        assert_eq!(sum, Point::double_mul_base(&sx, &b, &sy));
+    });
+}
+
+#[test]
+fn fixed_base_mul_matches_reference() {
+    let b = Point::base();
+    for k in edge_scalars() {
+        assert_eq!(Point::mul_base(&k), b.mul_ref(&k), "{k:?}");
+    }
+    property("fixed_base_mul_matches_reference", |rng| {
+        let k = rand_scalar(rng);
+        assert_eq!(Point::mul_base(&k), b.mul_ref(&k));
+    });
+}
+
+#[test]
+fn variable_base_mul_matches_reference() {
+    let p = Point::base().mul_ref(&Scalar::from_u64(0x1234_5678_9abc));
+    for k in edge_scalars() {
+        assert_eq!(p.mul(&k), p.mul_ref(&k), "{k:?}");
+    }
+    property("variable_base_mul_matches_reference", |rng| {
+        let p = Point::base().mul_ref(&rand_scalar(rng));
+        let k = rand_scalar(rng);
+        assert_eq!(p.mul(&k), p.mul_ref(&k));
+    });
+}
+
+#[test]
+fn double_scalar_mul_matches_reference() {
+    let reference =
+        |a: &Scalar, a_pt: &Point, b: &Scalar| a_pt.mul_ref(a).add(&Point::base().mul_ref(b));
+    let p = Point::base().mul_ref(&Scalar::from_u64(0x1234_5678_9abc));
+    for a in edge_scalars() {
+        for b in edge_scalars() {
+            let got = Point::double_mul_base(&a, &p, &b);
+            assert_eq!(got, reference(&a, &p, &b), "{a:?} {b:?}");
+        }
+    }
+    property("double_scalar_mul_matches_reference", |rng| {
+        let a_pt = Point::base().mul_ref(&rand_scalar(rng));
+        let (a, b) = (rand_scalar(rng), rand_scalar(rng));
+        assert_eq!(
+            Point::double_mul_base(&a, &a_pt, &b),
+            reference(&a, &a_pt, &b)
+        );
+    });
+}
+
+#[test]
+fn field_mul_square_match_generic_reduction() {
+    property("field_mul_square_match_generic_reduction", |rng| {
+        let (a, b) = (
+            Fe::from_le_bytes(&rng.gen_bytes32()),
+            Fe::from_le_bytes(&rng.gen_bytes32()),
+        );
+        assert_eq!(fe_int(&a.mul(&b)), mul_mod(&fe_int(&a), &fe_int(&b), &P));
+        assert_eq!(fe_int(&a.square()), mul_mod(&fe_int(&a), &fe_int(&a), &P));
+    });
+}
+
+#[test]
+fn field_invert_matches_fermat_power() {
+    let (p_minus_2, _) = P.sbb(&U256::from_u64(2));
+    property("field_invert_matches_fermat_power", |rng| {
+        let x = Fe::from_le_bytes(&rng.gen_bytes32());
+        if !x.is_zero() {
+            assert_eq!(x.invert(), x.pow(&p_minus_2));
+        }
+    });
+}
+
+#[test]
+fn scalar_reduction_matches_long_division() {
+    property("scalar_reduction_matches_long_division", |rng| {
+        let mut wide = [0u8; 64];
+        rng.fill_bytes(&mut wide);
+        let want = U512::from_le_bytes(&wide).reduce_mod(&L);
+        assert_eq!(
+            Scalar::from_le_bytes_wide(&wide).to_le_bytes(),
+            want.to_le_bytes()
+        );
+        let (a, b) = (rand_scalar(rng), rand_scalar(rng));
+        let (ai, bi) = (
+            U256::from_le_bytes(&a.to_le_bytes()),
+            U256::from_le_bytes(&b.to_le_bytes()),
+        );
+        assert_eq!(a.mul(&b).to_le_bytes(), mul_mod(&ai, &bi, &L).to_le_bytes());
     });
 }
 
@@ -130,6 +257,23 @@ fn signatures_bind_messages() {
         let idx = rng.gen_range(tampered.len() as u64) as usize;
         tampered[idx] ^= 1;
         assert!(!kp.public.verify(&tampered, &sig));
+        // The wire image round-trips, and the same s written as s + L
+        // does not decode.
+        let mut wire = sig.to_bytes();
+        assert!(kp
+            .public
+            .verify(&msg, &Signature::from_bytes(&wire).unwrap()));
+        let s = U256::from_le_bytes(&wire[64..].try_into().unwrap());
+        wire[64..].copy_from_slice(&s.adc(&L).0.to_le_bytes());
+        assert_eq!(
+            Signature::from_bytes(&wire),
+            Err(CryptoError::InvalidScalar)
+        );
+        // Verification's s·B − e·A core on this key, against the reference.
+        let a = kp.public.0;
+        let (e, s) = (rand_scalar(rng), rand_scalar(rng));
+        let want = Point::base().mul_ref(&s).add(&a.mul_ref(&e).neg());
+        assert_eq!(Point::double_mul_base(&e, &a.neg(), &s), want);
     });
 }
 
