@@ -164,6 +164,37 @@ fn crypto_benches(cfg: &ReportArgs, rows: &mut Vec<PerfBench>) {
         Some(base.ns_per_iter),
     ));
 
+    // The memory engine's page keystream: one `ctr_lines` call over 64
+    // lines, each with its own address-tweaked IV, vs one scalar
+    // `ctr_apply_ref` per line.
+    let n = iters(cfg, 2_000, 200);
+    const NONCE: u64 = 0x4d4b_544d_4531_0001;
+    let per_line_ref = |buf: &mut [u8]| {
+        for (i, line) in buf.chunks_mut(64).enumerate() {
+            cipher.ctr_apply_ref(&ctr_iv(0x7000 + 64 * i as u64, NONCE), line);
+        }
+    };
+    let mut lines = vec![0u8; 4096];
+    let mut lines_ref = vec![0u8; 4096];
+    cipher.ctr_lines(0x7000, NONCE, &mut lines);
+    per_line_ref(&mut lines_ref);
+    assert_eq!(
+        lines, lines_ref,
+        "ctr_lines must match per-line ctr_apply_ref"
+    );
+    let opt = bench("aes128_ctr_lines_4k", n, 4096, || {
+        cipher.ctr_lines(black_box(0x7000), NONCE, black_box(&mut lines));
+    });
+    let base = bench("aes128_ctr_lines_4k_ref", n, 4096, || {
+        per_line_ref(black_box(&mut lines_ref));
+    });
+    rows.push(PerfBench::from_timings(
+        "aes128_ctr_lines_4k",
+        opt.ns_per_iter,
+        4096,
+        Some(base.ns_per_iter),
+    ));
+
     curve_benches(cfg, rows);
 }
 
@@ -286,6 +317,52 @@ fn mktme_bench(cfg: &ReportArgs, rows: &mut Vec<PerfBench>) {
         "mktme_roundtrip_4k",
         opt.ns_per_iter,
         8192,
+        Some(base.ns_per_iter),
+    ));
+
+    // Zeroing a 4 KiB frame through a key (ECREATE stack, EALLOC, shm
+    // creation): `zero_page` vs the eager zero write of the seed path.
+    // Both must leave the same ciphertext and materialised tags.
+    let n = iters(cfg, 1_000, 100);
+    let zero = vec![0u8; 4096];
+    let fresh = || {
+        let mut engine = MktmeEngine::new(true);
+        engine.program_key(BENCH_KEY, &[1; 16], &[2; 32]);
+        (engine, PhysMemory::new(16 << 20))
+    };
+    let (mut engine, mut mem) = fresh();
+    let (mut engine_ref, mut mem_ref) = fresh();
+    engine
+        .zero_page(&mut mem, pa.ppn(), BENCH_KEY)
+        .expect("bench zero_page");
+    engine_ref
+        .write_ref(&mut mem_ref, pa, BENCH_KEY, &zero)
+        .expect("bench write_ref");
+    let (mut raw, mut raw_ref) = (vec![0u8; 4096], vec![0u8; 4096]);
+    mem.read(pa, &mut raw).expect("raw read");
+    mem_ref.read(pa, &mut raw_ref).expect("raw read");
+    assert_eq!(
+        raw, raw_ref,
+        "zero_page must store the zero write's ciphertext"
+    );
+    engine
+        .read_ref(&mut mem, pa, BENCH_KEY, &mut back)
+        .expect("zeroed page verifies");
+    assert_eq!(back, zero);
+    let opt = bench("mktme_zero_page", n, 4096, || {
+        engine
+            .zero_page(&mut mem, black_box(pa.ppn()), BENCH_KEY)
+            .expect("bench zero_page");
+    });
+    let base = bench("mktme_zero_page_ref", n, 4096, || {
+        engine_ref
+            .write_ref(&mut mem_ref, black_box(pa), BENCH_KEY, black_box(&zero))
+            .expect("bench write_ref");
+    });
+    rows.push(PerfBench::from_timings(
+        "mktme_zero_page",
+        opt.ns_per_iter,
+        4096,
         Some(base.ns_per_iter),
     ));
 }

@@ -126,8 +126,7 @@ impl Ems {
         // Zero through the enclave key so integrity MACs exist (§IV-A:
         // "Before being mapped, corresponding pages will be zeroed").
         let sys = &mut *ctx.sys;
-        sys.engine
-            .write(&mut sys.phys, frame.base(), key, &[0u8; PAGE_SIZE as usize])?;
+        sys.engine.zero_page(&mut sys.phys, frame, key)?;
         table.map(va, frame, Perms::RW, key, staged, &mut ctx.sys.phys)?;
         txn.record(UndoOp::UnmapLeaf(table, va));
         Ok(frame)

@@ -87,8 +87,7 @@ impl Ems {
                 .map_err(|_| EmsError::AccessDenied)?;
             // Initialise through the region key so integrity MACs exist.
             let sys = &mut *ctx.sys;
-            sys.engine
-                .write(&mut sys.phys, frame.base(), key, &[0u8; PAGE_SIZE as usize])?;
+            sys.engine.zero_page(&mut sys.phys, frame, key)?;
             frames.push(frame);
         }
         let max_perm = Ems::decode_perms(max_perm_bits & 0b011);

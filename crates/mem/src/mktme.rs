@@ -12,7 +12,7 @@
 //! on) really fault — the behaviour the paper's attack-surface analysis
 //! (§VIII-C, "PTW cannot decrypt enclave data correctly") relies on.
 
-use crate::addr::{KeyId, PhysAddr};
+use crate::addr::{KeyId, PhysAddr, Ppn, PAGE_SIZE};
 use crate::phys::PhysMemory;
 use crate::MemFault;
 use hypertee_crypto::aes::{ctr_iv, Aes128};
@@ -21,6 +21,17 @@ use std::collections::HashMap;
 
 /// Memory-line granularity of encryption and MAC (bytes).
 pub const LINE_SIZE: u64 = 64;
+
+/// CTR nonce of every line's keystream (the "MKTME1" domain tag); the line's
+/// physical address is the tweak.
+const MKTME_NONCE: u64 = 0x4d4b_544d_4531_0001;
+
+/// XORs a line's keystream into `line` (decrypt or encrypt).
+fn xor_line(line: &mut [u8], ks: &[u8; LINE_SIZE as usize]) {
+    for (b, k) in line.iter_mut().zip(ks) {
+        *b ^= k;
+    }
+}
 
 #[derive(Clone)]
 struct KeySlot {
@@ -55,45 +66,114 @@ pub struct MktmeStats {
 }
 
 /// Lines of MAC tags per [`MacTable`] page (each page covers 32 KiB of
-/// protected memory; a tag page costs 2 KiB).
+/// protected memory; a tag page costs 2 KiB plus its zero keys).
 const MAC_PAGE_LINES: u64 = 512;
+
+/// Memory lines per 4 KiB frame: the granularity of zero-pending state.
+const FRAME_LINES: u64 = PAGE_SIZE / LINE_SIZE;
 
 /// Sentinel for "no tag recorded": real tags are 28-bit, so `u32::MAX`
 /// can never collide with one.
 const MAC_EMPTY: u32 = u32::MAX;
 
+/// Sentinel for a zero-pending line: its tag is that of an all-zero line
+/// under the MAC key recorded for its frame, materialised on demand.
+const MAC_ZERO_PENDING: u32 = u32::MAX - 1;
+
+/// The line tags of one 32 KiB stretch, plus the MAC key each of its eight
+/// frames was last zeroed under (meaningful only while the frame still has
+/// zero-pending lines).
+struct MacPage {
+    tags: [u32; MAC_PAGE_LINES as usize],
+    zero_keys: [[u8; 32]; (MAC_PAGE_LINES / FRAME_LINES) as usize],
+}
+
+impl core::fmt::Debug for MacPage {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        // Zero keys are key material: never print them.
+        f.debug_struct("MacPage")
+            .field("tags", &self.tags)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The tag of an all-zero line at `line_base` under `mac_key`.
+fn zero_line_tag(mac_key: &[u8; 32], line_base: u64) -> MacTag {
+    mac28(mac_key, line_base, &[0u8; LINE_SIZE as usize])
+}
+
 /// Paged flat MAC store indexed by line number — replaces the previous
 /// per-line `HashMap<u64, MacTag>`: one hash probe per 512-line page plus
 /// an array index, instead of one probe per line.
+///
+/// Each line is empty, tagged, or *zero-pending*: a frame zeroed through
+/// [`MktmeEngine::zero_page`] records one copy of the writer's MAC key
+/// instead of 64 tags, and [`MacTable::get`] derives the tag of an
+/// all-zero line from it. Observably the table holds exactly what eager
+/// tagging would have stored.
 #[derive(Debug, Default)]
 pub struct MacTable {
-    pages: HashMap<u64, Box<[u32]>>,
+    pages: HashMap<u64, Box<MacPage>>,
 }
 
 impl MacTable {
-    /// Looks up the tag recorded for a line number (`pa / LINE_SIZE`).
-    pub fn get(&self, line: u64) -> Option<MacTag> {
-        let tag = *self
-            .pages
-            .get(&(line / MAC_PAGE_LINES))?
-            .get((line % MAC_PAGE_LINES) as usize)?;
-        (tag != MAC_EMPTY).then_some(MacTag(tag))
+    fn page_mut(&mut self, line: u64) -> &mut MacPage {
+        self.pages.entry(line / MAC_PAGE_LINES).or_insert_with(|| {
+            Box::new(MacPage {
+                tags: [MAC_EMPTY; MAC_PAGE_LINES as usize],
+                zero_keys: [[0; 32]; (MAC_PAGE_LINES / FRAME_LINES) as usize],
+            })
+        })
     }
 
-    /// Records the tag for a line number.
+    /// The tag of entry `idx` (line number `line`) of `page`.
+    fn tag_at(page: &MacPage, line: u64, idx: usize) -> Option<MacTag> {
+        match page.tags[idx] {
+            MAC_EMPTY => None,
+            MAC_ZERO_PENDING => Some(zero_line_tag(
+                &page.zero_keys[idx / FRAME_LINES as usize],
+                line * LINE_SIZE,
+            )),
+            tag => Some(MacTag(tag)),
+        }
+    }
+
+    /// Looks up the tag recorded for a line number (`pa / LINE_SIZE`).
+    pub fn get(&self, line: u64) -> Option<MacTag> {
+        let page = self.pages.get(&(line / MAC_PAGE_LINES))?;
+        Self::tag_at(page, line, (line % MAC_PAGE_LINES) as usize)
+    }
+
+    /// [`MacTable::get`] for a line about to be verified: a zero-pending
+    /// line's tag is materialised and stored, so each is hashed at most
+    /// once. Other lines cost the same single lookup as `get`.
+    fn settle(&mut self, line: u64) -> Option<MacTag> {
+        let page = self.pages.get_mut(&(line / MAC_PAGE_LINES))?;
+        let idx = (line % MAC_PAGE_LINES) as usize;
+        let tag = Self::tag_at(page, line, idx)?;
+        page.tags[idx] = tag.0;
+        Some(tag)
+    }
+
+    /// Records the tag for a line number (replacing any zero-pending state).
     pub fn insert(&mut self, line: u64, tag: MacTag) {
-        let page = self
-            .pages
-            .entry(line / MAC_PAGE_LINES)
-            .or_insert_with(|| vec![MAC_EMPTY; MAC_PAGE_LINES as usize].into_boxed_slice());
-        page[(line % MAC_PAGE_LINES) as usize] = tag.0;
+        self.page_mut(line).tags[(line % MAC_PAGE_LINES) as usize] = tag.0;
+    }
+
+    /// Marks every line of `frame` zero-pending under `mac_key`.
+    fn set_zero_pending(&mut self, frame: Ppn, mac_key: &[u8; 32]) {
+        let first_line = frame.0 * FRAME_LINES;
+        let page = self.page_mut(first_line);
+        let idx = (first_line % MAC_PAGE_LINES) as usize;
+        page.tags[idx..idx + FRAME_LINES as usize].fill(MAC_ZERO_PENDING);
+        page.zero_keys[idx / FRAME_LINES as usize] = *mac_key;
     }
 
     /// Number of lines with a recorded tag (observability/audits).
     pub fn len(&self) -> usize {
         self.pages
             .values()
-            .map(|p| p.iter().filter(|&&t| t != MAC_EMPTY).count())
+            .map(|p| p.tags.iter().filter(|&&t| t != MAC_EMPTY).count())
             .sum()
     }
 
@@ -165,15 +245,26 @@ impl MktmeEngine {
         self.keys.len()
     }
 
-    fn keystream(slot: &KeySlot, line_base: u64, line: &mut [u8]) {
-        let iv = ctr_iv(line_base, 0x4d4b_544d_4531_0001); // "MKTME1" domain tag
-        slot.cipher.ctr_apply(&iv, line);
+    /// Applies the memory keystream to `buf`, whose first byte is the start
+    /// of the line at `first_line_base`: each line is tweaked by its own
+    /// physical address, the whole run streamed through one
+    /// [`Aes128::ctr_lines`] call.
+    fn keystream(slot: &KeySlot, first_line_base: u64, buf: &mut [u8]) {
+        slot.cipher.ctr_lines(first_line_base, MKTME_NONCE, buf);
     }
 
-    /// [`MktmeEngine::keystream`] over the pre-optimization scalar AES
-    /// (reference data plane).
+    /// One line's keystream, generated once so a read-modify-write can
+    /// decrypt and re-encrypt the line with two XORs.
+    fn line_keystream(slot: &KeySlot, line_base: u64) -> [u8; LINE_SIZE as usize] {
+        let mut ks = [0u8; LINE_SIZE as usize];
+        Self::keystream(slot, line_base, &mut ks);
+        ks
+    }
+
+    /// [`MktmeEngine::keystream`] for one line over the pre-optimization
+    /// scalar AES (reference data plane).
     fn keystream_ref(slot: &KeySlot, line_base: u64, line: &mut [u8]) {
-        let iv = ctr_iv(line_base, 0x4d4b_544d_4531_0001);
+        let iv = ctr_iv(line_base, MKTME_NONCE);
         slot.cipher.ctr_apply_ref(&iv, line);
     }
 
@@ -210,6 +301,49 @@ impl MktmeEngine {
         tags
     }
 
+    /// Zeroes `frame` through `key` — the EMS "zero before mapping" step
+    /// (§IV-A).
+    ///
+    /// Observably identical to `write(mem, frame.base(), key, &[0; 4096])`:
+    /// physical memory receives the same ciphertext (the page's keystream),
+    /// and the counters, raw-access trajectory and faults match. The
+    /// difference is cost: one [`Aes128::ctr_lines`] pass and no Keccak.
+    /// Instead of 64 line tags the MAC table records the frame as
+    /// zero-pending under the key's MAC key (see [`MacTable`]).
+    ///
+    /// # Errors
+    ///
+    /// [`MemFault::BusError`] for an unprogrammed encrypted KeyID or an
+    /// out-of-range frame.
+    pub fn zero_page(
+        &mut self,
+        mem: &mut PhysMemory,
+        frame: Ppn,
+        key: KeyId,
+    ) -> Result<(), MemFault> {
+        let frame_base = frame.base();
+        if !key.is_encrypted() {
+            return mem.write(frame_base, &[0u8; PAGE_SIZE as usize]);
+        }
+        let slot = self
+            .keys
+            .get(&key.0)
+            .ok_or(MemFault::BusError { pa: frame_base.0 })?;
+        self.stats.bytes_encrypted += PAGE_SIZE;
+        let mut page = [0u8; PAGE_SIZE as usize];
+        Self::keystream(slot, frame_base.0, &mut page);
+        mem.write(frame_base, &page)?;
+        // The per-line trajectory of `write`: one read and one write per
+        // line, the last write being the one just made.
+        mem.access_count += 2 * FRAME_LINES - 1;
+        self.stats.keystream_blocks_batched += PAGE_SIZE / 16;
+        self.stats.full_line_writes += FRAME_LINES;
+        if self.integrity {
+            self.macs.set_zero_pending(frame, &slot.mac_key);
+        }
+        Ok(())
+    }
+
     /// Writes `data` at `pa` through `key`.
     ///
     /// For encrypted KeyIDs this stores ciphertext at line granularity and
@@ -218,6 +352,8 @@ impl MktmeEngine {
     ///
     /// * a write covering a whole aligned line skips the
     ///   read-decrypt-splice RMW entirely;
+    /// * a partial line generates its keystream once and XORs it twice
+    ///   (decrypt, then re-encrypt after the splice);
     /// * a request spanning several contiguous lines makes one physical
     ///   round trip for the whole span and streams the keystream across it.
     ///
@@ -251,25 +387,31 @@ impl MktmeEngine {
                 // a single round trip each way.
                 mem.access_count += 2 * (nlines - 1);
                 self.stats.keystream_blocks_batched += span.len() as u64 / 16;
-                // Pass 1: assemble the plaintext span — decrypt-splice the
-                // partial edge lines, copy full lines straight from `data`.
-                let mut written = 0usize;
-                for (i, line) in span.chunks_mut(LINE_SIZE as usize).enumerate() {
-                    let line_base = span_base + i as u64 * LINE_SIZE;
-                    let off = (pa.0.max(line_base) - line_base) as usize;
-                    let take = (LINE_SIZE as usize - off).min(data.len() - written);
-                    if off == 0 && take == LINE_SIZE as usize {
-                        // Full line: the fetched ciphertext is irrelevant.
-                        line.copy_from_slice(&data[written..written + take]);
-                        self.stats.full_line_writes += 1;
-                    } else {
-                        Self::keystream(slot, line_base, line);
-                        line[off..off + take].copy_from_slice(&data[written..written + take]);
+                // Assemble the plaintext span: only the first and last line
+                // can be partial; decrypt those (keeping their keystreams)
+                // and splice `data` over the whole span — full lines never
+                // need their old contents.
+                let line = LINE_SIZE as usize;
+                let last = span.len() - line;
+                let head = (pa.0 != span_base).then(|| Self::line_keystream(slot, span_base));
+                let tail = (pa.0 + data.len() as u64 != span_end)
+                    .then(|| Self::line_keystream(slot, span_end - LINE_SIZE));
+                let xor_edges = |span: &mut [u8]| {
+                    if let Some(ks) = &head {
+                        xor_line(&mut span[..line], ks);
                     }
-                    written += take;
-                }
+                    if let Some(ks) = &tail {
+                        xor_line(&mut span[last..], ks);
+                    }
+                };
+                xor_edges(&mut span);
+                let off = (pa.0 - span_base) as usize;
+                span[off..off + data.len()].copy_from_slice(data);
+                self.stats.full_line_writes +=
+                    nlines - u64::from(head.is_some()) - u64::from(tail.is_some());
                 // MAC the plaintext span eight lines at a time, then
-                // re-encrypt it in place.
+                // re-encrypt it in place: the edge lines with their saved
+                // keystreams, the full lines in one streamed pass.
                 if self.integrity {
                     for (i, tag) in Self::span_tags(slot, span_base, &span)
                         .into_iter()
@@ -278,8 +420,11 @@ impl MktmeEngine {
                         self.macs.insert(span_base / LINE_SIZE + i as u64, tag);
                     }
                 }
-                for (i, line) in span.chunks_mut(LINE_SIZE as usize).enumerate() {
-                    Self::keystream(slot, span_base + i as u64 * LINE_SIZE, line);
+                xor_edges(&mut span);
+                let lo = if head.is_some() { line } else { 0 };
+                let hi = if tail.is_some() { last } else { span.len() };
+                if lo < hi {
+                    Self::keystream(slot, span_base + lo as u64, &mut span[lo..hi]);
                 }
                 return mem.write(PhysAddr(span_base), &span);
             }
@@ -294,18 +439,17 @@ impl MktmeEngine {
             let off = (addr - line_base) as usize;
             let take = (LINE_SIZE as usize - off).min(data.len() - written);
             let mut line = [0u8; LINE_SIZE as usize];
+            // The raw read happens even for a full line, so the access
+            // trajectory (and any fault it would raise) is unchanged.
+            mem.read(PhysAddr(line_base), &mut line)?;
+            let ks = Self::line_keystream(slot, line_base);
             if off == 0 && take == LINE_SIZE as usize {
-                // Full aligned line: skip the fetch-decrypt-splice RMW. The
-                // raw read still happens so the access trajectory (and any
-                // fault it would raise) is unchanged.
-                mem.read(PhysAddr(line_base), &mut line)?;
+                // Full aligned line: skip the decrypt-splice RMW.
                 line.copy_from_slice(&data[written..written + take]);
                 self.stats.full_line_writes += 1;
             } else {
-                // Fetch the current line ciphertext and decrypt it.
-                mem.read(PhysAddr(line_base), &mut line)?;
-                Self::keystream(slot, line_base, &mut line);
-                // Splice in the new plaintext bytes.
+                // Decrypt the current line and splice in the new bytes.
+                xor_line(&mut line, &ks);
                 line[off..off + take].copy_from_slice(&data[written..written + take]);
             }
             // Refresh the MAC over the plaintext line.
@@ -313,8 +457,8 @@ impl MktmeEngine {
                 let tag = mac28(&slot.mac_key, line_base, &line);
                 self.macs.insert(line_base / LINE_SIZE, tag);
             }
-            // Re-encrypt and store.
-            Self::keystream(slot, line_base, &mut line);
+            // Re-encrypt with the same keystream and store.
+            xor_line(&mut line, &ks);
             mem.write(PhysAddr(line_base), &line)?;
             written += take;
             addr += take as u64;
@@ -326,7 +470,8 @@ impl MktmeEngine {
     ///
     /// Requests spanning several contiguous lines make one physical round
     /// trip for the whole span; per-line MAC verification, fill order, and
-    /// every fault are identical to the scalar data plane.
+    /// every fault are identical to the scalar data plane. The first read
+    /// of a zero-pending line stores its materialised tag.
     ///
     /// # Errors
     ///
@@ -360,9 +505,7 @@ impl MktmeEngine {
                 // below stay strictly per-line so counter trajectories and
                 // the first-failing-line fault are identical to the scalar
                 // data plane.
-                for (i, line) in span.chunks_mut(LINE_SIZE as usize).enumerate() {
-                    Self::keystream(slot, span_base + i as u64 * LINE_SIZE, line);
-                }
+                Self::keystream(slot, span_base, &mut span);
                 let tags = if self.integrity {
                     Self::span_tags(slot, span_base, &span)
                 } else {
@@ -381,7 +524,7 @@ impl MktmeEngine {
                     let take = (LINE_SIZE as usize - off).min(buf.len() - done);
                     if self.integrity {
                         self.stats.mac_checks += 1;
-                        let valid = match self.macs.get(line_base / LINE_SIZE) {
+                        let valid = match self.macs.settle(line_base / LINE_SIZE) {
                             Some(tag) => tags[i] == tag,
                             None => false,
                         };
@@ -408,7 +551,7 @@ impl MktmeEngine {
             Self::keystream(slot, line_base, &mut line);
             if self.integrity {
                 self.stats.mac_checks += 1;
-                let valid = match self.macs.get(line_base / LINE_SIZE) {
+                let valid = match self.macs.settle(line_base / LINE_SIZE) {
                     Some(tag) => mac28(&slot.mac_key, line_base, &line) == tag,
                     None => false,
                 };
@@ -672,5 +815,113 @@ mod tests {
         mem.read(PhysAddr(0x2000), &mut c2).unwrap();
         assert_ne!(c1, c2);
         assert_ne!(c1, [0u8; 64]);
+    }
+
+    /// Raw bytes, counters and (materialised) tags after zeroing frame 7
+    /// with `zero`, on a fresh engine.
+    fn zeroed_with(
+        integrity: bool,
+        zero: impl Fn(&mut MktmeEngine, &mut PhysMemory) -> Result<(), MemFault>,
+    ) -> (Vec<u8>, MktmeStats, u64, Vec<Option<MacTag>>, usize) {
+        let mut mem = PhysMemory::new(4 << 20);
+        let mut engine = MktmeEngine::new(integrity);
+        engine.program_key(KeyId(1), &[0x11; 16], &[0xa1; 32]);
+        zero(&mut engine, &mut mem).unwrap();
+        let mut raw = vec![0u8; PAGE_SIZE as usize];
+        mem.read(PhysAddr(0x7000), &mut raw).unwrap();
+        let tags = (0..FRAME_LINES)
+            .map(|i| engine.macs.get(0x7000 / LINE_SIZE + i))
+            .collect();
+        (raw, engine.stats, mem.access_count, tags, engine.macs.len())
+    }
+
+    #[test]
+    fn zero_page_matches_eager_zero_write() {
+        for integrity in [true, false] {
+            let lazy = zeroed_with(integrity, |e, m| e.zero_page(m, Ppn(7), KeyId(1)));
+            let eager = zeroed_with(integrity, |e, m| {
+                e.write_ref(m, PhysAddr(0x7000), KeyId(1), &[0; PAGE_SIZE as usize])
+            });
+            let fast = zeroed_with(integrity, |e, m| {
+                e.write(m, PhysAddr(0x7000), KeyId(1), &[0; PAGE_SIZE as usize])
+            });
+            assert_eq!(lazy.0, eager.0, "ciphertext");
+            assert_ne!(lazy.0, vec![0u8; PAGE_SIZE as usize]);
+            assert_eq!(lazy.3, eager.3, "materialised tags");
+            assert_eq!(lazy.4, eager.4, "tag count");
+            // The reference plane does not batch, so compare the charged
+            // counters with it and every counter with the fast write.
+            assert_eq!(lazy.1.bytes_encrypted, eager.1.bytes_encrypted);
+            assert_eq!(lazy.2, eager.2, "raw access count");
+            assert_eq!(lazy, fast);
+        }
+    }
+
+    /// The raw table entry of a line and its frame's recorded zero key.
+    fn raw_entry(engine: &MktmeEngine, line: u64) -> (u32, [u8; 32]) {
+        let page = &engine.macs.pages[&(line / MAC_PAGE_LINES)];
+        let idx = (line % MAC_PAGE_LINES) as usize;
+        (page.tags[idx], page.zero_keys[idx / FRAME_LINES as usize])
+    }
+
+    #[test]
+    fn zero_page_marks_lines_pending_until_written_or_read() {
+        let (mut mem, mut engine) = setup();
+        let frame = Ppn(9);
+        engine.zero_page(&mut mem, frame, KeyId(1)).unwrap();
+        let first = frame.base().0 / LINE_SIZE;
+        assert!((0..FRAME_LINES)
+            .all(|i| raw_entry(&engine, first + i) == (MAC_ZERO_PENDING, [0xa1; 32])));
+        // A partial write into line 3 replaces its pending state with the
+        // tag eager tagging stores; its neighbours stay pending.
+        let line3 = frame.base().0 + 3 * LINE_SIZE;
+        engine
+            .write(&mut mem, PhysAddr(line3 + 5), KeyId(1), &[9; 7])
+            .unwrap();
+        let mut line = [0u8; LINE_SIZE as usize];
+        line[5..12].fill(9);
+        assert_eq!(
+            raw_entry(&engine, first + 3).0,
+            mac28(&[0xa1; 32], line3, &line).0
+        );
+        assert_eq!(raw_entry(&engine, first + 2).0, MAC_ZERO_PENDING);
+        assert_eq!(raw_entry(&engine, first + 4).0, MAC_ZERO_PENDING);
+        // Reading lines 4..6 stores their materialised tags, and they read
+        // back as zeros.
+        let mut buf = [0xffu8; 2 * LINE_SIZE as usize];
+        engine
+            .read(&mut mem, PhysAddr(line3 + LINE_SIZE), KeyId(1), &mut buf)
+            .unwrap();
+        assert_eq!(buf, [0u8; 2 * LINE_SIZE as usize]);
+        for i in [4, 5] {
+            let base = frame.base().0 + i * LINE_SIZE;
+            assert_eq!(
+                raw_entry(&engine, first + i).0,
+                zero_line_tag(&[0xa1; 32], base).0
+            );
+        }
+        assert_eq!(raw_entry(&engine, first + 6).0, MAC_ZERO_PENDING);
+        // Re-zeroing under another key records that key for the frame.
+        engine.zero_page(&mut mem, frame, KeyId(2)).unwrap();
+        assert!((0..FRAME_LINES)
+            .all(|i| raw_entry(&engine, first + i) == (MAC_ZERO_PENDING, [0xa2; 32])));
+        assert_eq!(engine.macs.len(), FRAME_LINES as usize);
+    }
+
+    #[test]
+    fn zero_page_faults_like_write() {
+        let (mut mem, mut engine) = setup();
+        let (mut mem_w, mut engine_w) = setup();
+        let out_of_range = Ppn((4 << 20) / PAGE_SIZE);
+        let zero = [0u8; PAGE_SIZE as usize];
+        for (frame, key) in [(out_of_range, KeyId(1)), (Ppn(1), KeyId(9))] {
+            let a = engine.zero_page(&mut mem, frame, key);
+            let b = engine_w.write(&mut mem_w, frame.base(), key, &zero);
+            assert!(matches!(a, Err(MemFault::BusError { pa: p }) if p == frame.base().0));
+            assert_eq!(a, b);
+        }
+        assert_eq!(engine.stats, engine_w.stats);
+        assert_eq!(mem.access_count, mem_w.access_count);
+        assert!(engine.macs.is_empty());
     }
 }

@@ -41,6 +41,9 @@ cargo run --release --offline --example interp_smoke
 echo "==> crypto smoke (Curve25519 fast paths vs mul_ref oracle, fixed seed)"
 cargo run --release --offline --example crypto_smoke
 
+echo "==> mktme smoke (zero_page and fast data plane vs the *_ref data plane, fixed seed)"
+cargo run --release --offline --example mktme_smoke
+
 echo "==> bench_report smoke (release, reduced iterations, schema-validated)"
 cargo run --release --offline -p hypertee-bench --bin bench_report -- --smoke \
     --out target/BENCH_perf_smoke.json > /dev/null

@@ -156,6 +156,224 @@ fn tamper_fault_parity_mid_span() {
     assert_eq!(opt.stats.mac_failures, re.stats.mac_failures);
 }
 
+/// The two data planes over one operation sequence: `zero_page` and the
+/// fast read/write paths against a zero write and reads on the seed's
+/// reference paths.
+struct Twin {
+    opt_mem: PhysMemory,
+    opt: MktmeEngine,
+    ref_mem: PhysMemory,
+    re: MktmeEngine,
+}
+
+impl Twin {
+    fn new() -> Self {
+        let (opt_mem, opt, ref_mem, re) = pair();
+        Twin {
+            opt_mem,
+            opt,
+            ref_mem,
+            re,
+        }
+    }
+
+    fn program(&mut self, key: KeyId, aes: &[u8; 16], mac: &[u8; 32]) {
+        self.opt.program_key(key, aes, mac);
+        self.re.program_key(key, aes, mac);
+    }
+
+    fn zero(&mut self, pa: PhysAddr, key: KeyId) -> Result<(), MemFault> {
+        let a = self.opt.zero_page(&mut self.opt_mem, pa.ppn(), key);
+        let b = self.re.write_ref(&mut self.ref_mem, pa, key, &[0; 4096]);
+        assert_eq!(a, b, "zero result diverged");
+        self.assert_agree();
+        a
+    }
+
+    fn write(&mut self, pa: PhysAddr, key: KeyId, data: &[u8]) -> Result<(), MemFault> {
+        let a = self.opt.write(&mut self.opt_mem, pa, key, data);
+        let b = self.re.write_ref(&mut self.ref_mem, pa, key, data);
+        assert_eq!(a, b, "write result diverged");
+        self.assert_agree();
+        a
+    }
+
+    fn read(&mut self, pa: PhysAddr, key: KeyId, len: usize) -> Result<Vec<u8>, MemFault> {
+        let mut got_a = vec![0u8; len];
+        let mut got_b = vec![0u8; len];
+        let a = self.opt.read(&mut self.opt_mem, pa, key, &mut got_a);
+        let b = self.re.read_ref(&mut self.ref_mem, pa, key, &mut got_b);
+        assert_eq!(a, b, "read result diverged");
+        assert_eq!(got_a, got_b, "read data diverged");
+        self.assert_agree();
+        a.map(|()| got_a)
+    }
+
+    /// Flips one ciphertext bit through the plaintext domain on both sides.
+    fn flip(&mut self, pa: PhysAddr, mask: u8) {
+        for mem in [&mut self.opt_mem, &mut self.ref_mem] {
+            let mut raw = [0u8; 1];
+            mem.read(pa, &mut raw).unwrap();
+            raw[0] ^= mask;
+            mem.write(pa, &raw).unwrap();
+        }
+    }
+
+    /// The charged counters, the raw-access trajectory and the physical
+    /// bytes of the exercised region are identical on both planes.
+    fn assert_agree(&mut self) {
+        let (a, b) = (self.opt.stats, self.re.stats);
+        assert_eq!(a.bytes_encrypted, b.bytes_encrypted);
+        assert_eq!(a.bytes_decrypted, b.bytes_decrypted);
+        assert_eq!(a.mac_checks, b.mac_checks);
+        assert_eq!(a.mac_failures, b.mac_failures);
+        assert_eq!(self.opt_mem.access_count, self.ref_mem.access_count);
+        let mut raw_a = vec![0u8; 0x4000];
+        let mut raw_b = vec![0u8; 0x4000];
+        self.opt_mem.read(PhysAddr(0x70_000), &mut raw_a).unwrap();
+        self.ref_mem.read(PhysAddr(0x70_000), &mut raw_b).unwrap();
+        self.opt_mem.access_count -= 1;
+        self.ref_mem.access_count -= 1;
+        assert_eq!(raw_a, raw_b, "physical ciphertext diverged");
+    }
+}
+
+const FRAME: PhysAddr = PhysAddr(0x71_000);
+
+/// `zero_page` stores the same ciphertext with the same counters as the
+/// fast zero write it replaces, and both read back as zeros on either
+/// plane, whole-page and line by line.
+#[test]
+fn zero_page_matches_zero_write() {
+    let mut t = Twin::new();
+    t.zero(FRAME, KeyId(1)).unwrap();
+    let (mut mem, mut fast) = (PhysMemory::new(4 << 20), MktmeEngine::new(true));
+    fast.program_key(KeyId(1), &[0x11; 16], &[0xa1; 32]);
+    fast.write(&mut mem, FRAME, KeyId(1), &[0; 4096]).unwrap();
+    assert_eq!(t.opt.stats, fast.stats);
+    assert_eq!(t.opt_mem.access_count, mem.access_count);
+    let mut raw_a = vec![0u8; 4096];
+    let mut raw_b = vec![0u8; 4096];
+    t.opt_mem.read(FRAME, &mut raw_a).unwrap();
+    t.opt_mem.access_count -= 1;
+    mem.read(FRAME, &mut raw_b).unwrap();
+    assert_eq!(raw_a, raw_b);
+    assert_eq!(t.read(FRAME, KeyId(1), 4096).unwrap(), vec![0u8; 4096]);
+    for line in 0..64 {
+        let pa = PhysAddr(FRAME.0 + line * 64 + line % 7);
+        assert_eq!(t.read(pa, KeyId(1), 9).unwrap(), vec![0u8; 9]);
+    }
+}
+
+/// One flipped ciphertext bit in a zero-pending line faults at that line
+/// on both planes, with the same failure count.
+#[test]
+fn zero_page_tamper_faults_at_the_flipped_line() {
+    let mut t = Twin::new();
+    t.zero(FRAME, KeyId(1)).unwrap();
+    t.flip(PhysAddr(FRAME.0 + 21 * 64 + 3), 0x08);
+    let fault = t.read(FRAME, KeyId(1), 4096);
+    assert_eq!(
+        fault,
+        Err(MemFault::IntegrityViolation {
+            pa: FRAME.0 + 21 * 64
+        })
+    );
+    assert_eq!(t.opt.stats.mac_failures, 1);
+    // The per-line path faults the same way, and untouched lines still pass.
+    assert!(t
+        .read(PhysAddr(FRAME.0 + 21 * 64 + 8), KeyId(1), 8)
+        .is_err());
+    assert!(t.read(PhysAddr(FRAME.0 + 20 * 64), KeyId(1), 64).is_ok());
+    assert_eq!(t.opt.stats.mac_failures, 2);
+}
+
+/// Reading a zeroed page through another KeyID faults — including a KeyID
+/// programmed with the same AES key but a different MAC key, whose
+/// decryption really is all zeros: accepting a pending line on the zero
+/// check alone would let it through.
+#[test]
+fn zero_page_wrong_key_faults_even_with_the_same_aes_key() {
+    let mut t = Twin::new();
+    t.zero(FRAME, KeyId(1)).unwrap();
+    assert!(matches!(
+        t.read(FRAME, KeyId(2), 4096),
+        Err(MemFault::IntegrityViolation { pa }) if pa == FRAME.0
+    ));
+    t.program(KeyId(3), &[0x11; 16], &[0xb3; 32]);
+    assert!(matches!(
+        t.read(FRAME, KeyId(3), 4096),
+        Err(MemFault::IntegrityViolation { pa }) if pa == FRAME.0
+    ));
+    assert!(t.read(PhysAddr(FRAME.0 + 640), KeyId(3), 4).is_err());
+}
+
+/// Suspension/resume (§IV-C): the same keys re-programmed under a new
+/// KeyID still verify a zeroed page.
+#[test]
+fn zero_page_survives_rekeying_under_a_new_keyid() {
+    let mut t = Twin::new();
+    t.zero(FRAME, KeyId(1)).unwrap();
+    t.opt.revoke_key(KeyId(1));
+    t.re.revoke_key(KeyId(1));
+    t.program(KeyId(5), &[0x11; 16], &[0xa1; 32]);
+    assert_eq!(t.read(FRAME, KeyId(5), 4096).unwrap(), vec![0u8; 4096]);
+    assert_eq!(
+        t.read(PhysAddr(FRAME.0 + 4000), KeyId(5), 3).unwrap(),
+        vec![0u8; 3]
+    );
+}
+
+/// Partial writes into pending lines, line-straddling and single-line,
+/// read back correctly next to their still-pending neighbours.
+#[test]
+fn zero_page_then_partial_writes_read_back() {
+    let mut t = Twin::new();
+    t.zero(FRAME, KeyId(1)).unwrap();
+    t.write(PhysAddr(FRAME.0 + 100), KeyId(1), &[0xab; 50])
+        .unwrap();
+    t.write(PhysAddr(FRAME.0 + 1000), KeyId(1), &[0xcd; 300])
+        .unwrap();
+    t.write(PhysAddr(FRAME.0 + 4090), KeyId(1), &[0xef; 6])
+        .unwrap();
+    let page = t.read(FRAME, KeyId(1), 4096).unwrap();
+    let mut want = vec![0u8; 4096];
+    want[100..150].fill(0xab);
+    want[1000..1300].fill(0xcd);
+    want[4090..].fill(0xef);
+    assert_eq!(page, want);
+}
+
+/// Re-zeroing a page under a new key makes it that key's: zeros through
+/// the new KeyID, a fault through the old one.
+#[test]
+fn zero_page_rezero_under_a_new_key() {
+    let mut t = Twin::new();
+    t.zero(FRAME, KeyId(1)).unwrap();
+    t.write(PhysAddr(FRAME.0 + 64), KeyId(1), &[0x77; 256])
+        .unwrap();
+    t.zero(FRAME, KeyId(2)).unwrap();
+    assert_eq!(t.read(FRAME, KeyId(2), 4096).unwrap(), vec![0u8; 4096]);
+    assert!(t.read(FRAME, KeyId(1), 4096).is_err());
+}
+
+/// A revoked key makes both zeroing and reading a bus error.
+#[test]
+fn zero_page_with_a_revoked_key_is_a_bus_error() {
+    let mut t = Twin::new();
+    t.zero(FRAME, KeyId(1)).unwrap();
+    t.opt.revoke_key(KeyId(1));
+    t.re.revoke_key(KeyId(1));
+    assert_eq!(
+        t.zero(FRAME, KeyId(1)),
+        Err(MemFault::BusError { pa: FRAME.0 })
+    );
+    assert!(matches!(
+        t.read(FRAME, KeyId(1), 64),
+        Err(MemFault::BusError { .. })
+    ));
+}
+
 /// EFREE must drop the freeing hart's walk-cache pointers along with its
 /// TLB entries: the freed page-table frames return to the pool, and a stale
 /// intermediate-level pointer would let the walker interpret reused frames
